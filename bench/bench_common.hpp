@@ -157,19 +157,27 @@ struct BenchOptions {
   }
 };
 
+/// The host-dependent stamps -- physical core count and the gang's
+/// *resolved* worker count (the default follows the core count) -- as one
+/// single-line `"host"` object, so a determinism gate can drop exactly this
+/// line and byte-compare every other field. Emits `"host": {...},` (caller
+/// is mid-object).
+inline void write_host_json(std::FILE* json, int resolved_workers) {
+  std::fprintf(json, "  \"host\": {\"host_cores\": %u, \"workers\": %d},\n",
+               std::thread::hardware_concurrency(), resolved_workers);
+}
+
 /// Host-execution provenance recorded uniformly in every BENCH_*.json so
 /// perf trajectories across machines, worker counts and cost profiles stay
-/// comparable: physical core count, the gang's *resolved* worker count, the
-/// gang mode, the interconnect profile, and any per-key cost overrides.
-/// Emits `"key": value,` lines (caller is mid-object).
+/// comparable: the "host" object above, the gang mode, the interconnect
+/// profile, and any per-key cost overrides. Emits `"key": value,` lines
+/// (caller is mid-object).
 inline void write_host_env_json(std::FILE* json, int resolved_workers,
                                 sim::GangMode mode,
                                 const std::string& net_profile = "sp2",
                                 const std::vector<std::string>& overrides = {}) {
-  std::fprintf(json,
-               "  \"host_cores\": %u,\n  \"workers\": %d,\n"
-               "  \"gang\": \"%s\",\n  \"net_profile\": \"%s\",\n",
-               std::thread::hardware_concurrency(), resolved_workers,
+  write_host_json(json, resolved_workers);
+  std::fprintf(json, "  \"gang\": \"%s\",\n  \"net_profile\": \"%s\",\n",
                sim::to_string(mode), net_profile.c_str());
   std::fprintf(json, "  \"cost_overrides\": [");
   for (std::size_t i = 0; i < overrides.size(); ++i) {

@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "updsm/dsm/copyset.hpp"
 #include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/node_context.hpp"
@@ -360,17 +360,18 @@ void write_diff_summary(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  // Uniform host-provenance keys (host_cores / workers / gang /
-  // net_profile / cost_overrides) that every BENCH_*.json carries; diff
-  // creation is single-threaded host work, so workers is 1, no gang is
-  // involved, and the simulated cost profile cannot matter -- sp2 is the
-  // recorded default.
+  // Uniform host-provenance keys ("host" object / gang / net_profile /
+  // cost_overrides) that every BENCH_*.json carries; diff creation is
+  // single-threaded host work, so workers is 1, no gang is involved, and
+  // the simulated cost profile cannot matter -- sp2 is the recorded
+  // default.
   std::fprintf(f,
-               "{\n  \"bench\": \"diff_create\",\n  \"page_bytes\": %zu,\n"
-               "  \"host_cores\": %u,\n  \"workers\": 1,\n"
+               "{\n  \"bench\": \"diff_create\",\n  \"page_bytes\": %zu,\n",
+               kPage);
+  updsm::bench::write_host_json(f, 1);
+  std::fprintf(f,
                "  \"gang\": \"none\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n",
-               kPage, std::thread::hardware_concurrency());
+               "  \"cost_overrides\": [],\n  \"results\": [\n");
   const char* patterns[] = {"identical", "sparse", "alternating", "dense"};
   bool first = true;
   for (const char* pattern : patterns) {
@@ -422,17 +423,16 @@ void write_gang_summary(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  const unsigned cores = std::thread::hardware_concurrency();
   // Uniform host-provenance keys: this bench sweeps both gang modes, so
   // "gang" records that, and workers is the auto resolution at the largest
   // swept cluster (per-cell counts clamp to each cell's node count).
   std::fprintf(f,
                "{\n  \"bench\": \"gang_modes\",\n  \"workload\": "
-               "\"sor+barnes under bar-u, scale 0.4, 4 iters\",\n"
-               "  \"host_cores\": %u,\n  \"workers\": %d,\n"
+               "\"sor+barnes under bar-u, scale 0.4, 4 iters\",\n");
+  updsm::bench::write_host_json(f, updsm::sim::Gang::resolve_workers(0, 8));
+  std::fprintf(f,
                "  \"gang\": \"sweep\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n",
-               cores, updsm::sim::Gang::resolve_workers(0, 8));
+               "  \"cost_overrides\": [],\n  \"results\": [\n");
 
   auto wall_ms = [](int nodes, GangMode mode) {
     updsm::apps::AppParams params;

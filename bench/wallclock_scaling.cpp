@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
                "{\n  \"bench\": \"wallclock_scaling\",\n"
                "  \"scale\": %.3f,\n  \"iters\": %d,\n",
                opt.scale, opt.iterations);
-  // The sweep varies workers per run (recorded per row); header "workers"
-  // is the auto resolution at the default cluster size, as everywhere.
+  // The sweep varies workers per run (recorded per row); the "host"
+  // object's workers is the auto resolution at the default cluster size,
+  // as everywhere.
   updsm::bench::write_host_env_json(json, opt);
   std::fprintf(json, "  \"runs\": [");
 

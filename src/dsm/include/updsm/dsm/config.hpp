@@ -95,7 +95,7 @@ struct ClusterConfig {
 
   // --- fault injection ----------------------------------------------------
   /// Adversarial transport behaviour (see sim/fault_plan.hpp). Empty = the
-  /// perfect network (plus the legacy flush_drop_rate knob in costs.net).
+  /// perfect network.
   sim::FaultSpec faults;
   /// Seed for the fault plan's decision streams. Independent of `seed` so a
   /// fault schedule can be varied while the run's other stochastic inputs

@@ -143,7 +143,7 @@ class Runtime {
   /// Records and charges one flush message (sender Os traps; receiver Sigio
   /// recv). Update pushes are unreliable (paper §2.1.2: "flush messages can
   /// be unreliable, and therefore do not need to be acknowledged"); returns
-  /// false if the network dropped one, in which case the receiver is
+  /// false if the fault plan dropped one, in which case the receiver is
   /// charged nothing and must not see the data. Diff flushes to home nodes
   /// pass `reliable = true`: they are correctness-critical and ride the
   /// barrier's reliable channel.
@@ -188,8 +188,9 @@ class Runtime {
   /// edge instead of one unicast per destination. Intermediate nodes
   /// forward the sealed wire bytes unmodified; a dropped hop loses every
   /// segment aboard, healing through the usual recovery. Results are
-  /// bit-identical to unicast -- callbacks still fire in (sender,
-  /// destination) order -- only times and the message census change.
+  /// bit-identical to unicast -- callbacks fire in (sender, destination)
+  /// order after every batch has travelled, whatever its route -- only
+  /// times and the message census change.
   void seal_flush_batches();
 
   /// Records and charges one reliable one-way message (sync arrivals and
@@ -253,8 +254,9 @@ class Runtime {
 
  private:
   /// Charges `sender` the current retransmission timeout (Wait), grows it
-  /// (bounded exponential backoff) and counts/traces the retry.
-  void retry_wait(NodeId sender, sim::MsgKind kind, NodeId to,
+  /// (bounded exponential backoff) and counts/traces the retry. Throws
+  /// ProtocolError once `attempt` reaches the retry policy's max_attempts.
+  void retry_wait(NodeId sender, sim::MsgKind kind, NodeId to, int attempt,
                   sim::SimTime& timeout);
   /// Accounts one suppressed duplicate delivery at `to` (the copy is
   /// recorded as wire traffic, the receiver absorbs one recv trap, and the
@@ -262,11 +264,28 @@ class Runtime {
   void suppress_dup(sim::MsgKind kind, NodeId from, NodeId to,
                     std::uint64_t bytes, sim::SimTime handler_extra = 0);
 
-  /// seal_flush_batches() body when relay dissemination is configured:
-  /// unicasts reliable / below-threshold batches, routes the rest through
-  /// the tree, then runs all delivery callbacks in global (sender,
-  /// destination) order so results match the unicast path bit for bit.
-  void seal_flush_batches_relayed();
+  /// Transmits one flush-class message: a per-page flush, a sealed batch
+  /// or a relay hop. A reliable one rides reliable_send(); an unreliable
+  /// one is recorded, charged one send trap and handed to the fault plan,
+  /// which may drop, duplicate or delay it. Then emits `trace_line()` (plus
+  /// " drop" if the message was lost) and, on delivery, charges the
+  /// receiver one recv trap and absorbs any duplicate. Returns whether the
+  /// message arrived.
+  template <class TraceLine>
+  bool transmit(sim::MsgKind kind, NodeId from, NodeId to, std::uint64_t bytes,
+                bool reliable, const TraceLine& trace_line);
+
+  /// One relayed (sender, destination) batch travelling the dissemination
+  /// tree: the sealed wire bytes are never re-serialized, intermediate hops
+  /// only account their forwarding.
+  struct RelaySegment {
+    std::size_t slot;     // index into staged_ (encodes sender and dest)
+    std::uint32_t to;     // final destination
+    std::uint64_t bytes;  // sealed batch wire size
+  };
+  /// Carries `segs` along the relay tree, marking the slot of every segment
+  /// that reaches its destination as delivered.
+  void disseminate(const std::vector<RelaySegment>& segs);
   /// Transmits one unreliable FlushRelay hop (fire-and-forget, like an
   /// unreliable unicast batch). Returns false if it was dropped, in which
   /// case every segment aboard is lost.
@@ -279,7 +298,7 @@ class Runtime {
     FlushBatchWriter writer;
     std::vector<FlushDeliverFn> deliver;  // one per staged record
     bool reliable = false;                // any reliable record upgrades all
-    bool delivered = false;               // transient, relay path only
+    bool delivered = false;               // transient, set while sealing
   };
 
   [[nodiscard]] std::size_t check(NodeId n) const {

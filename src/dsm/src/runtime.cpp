@@ -4,7 +4,6 @@
 #include <string>
 
 #include "updsm/common/log.hpp"
-#include "updsm/common/rng.hpp"
 
 namespace updsm::dsm {
 
@@ -16,13 +15,21 @@ using sim::TimeCat;
 /// Wire overhead per batch carried inside a FlushRelay message: original
 /// sender, final destination, offset and length of the segment's bytes.
 constexpr std::uint64_t kRelaySegmentHeaderBytes = 16;
+
+/// "nF>nT": the sender/receiver field of every message trace line.
+std::string edge(NodeId from, NodeId to) {
+  std::string s = "n";
+  s += std::to_string(from.value());
+  s += ">n";
+  s += std::to_string(to.value());
+  return s;
+}
 }  // namespace
 
 Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
     : config_(config),
       num_pages_(num_pages),
-      net_(config.costs.net, splitmix64(config.seed ^ 0xfeedULL),
-           config.num_nodes) {
+      net_(config.costs.net, config.num_nodes) {
   validate_cluster_config(config);
   const int n = config.num_nodes;
   tables_.reserve(static_cast<std::size_t>(n));
@@ -89,8 +96,14 @@ void Runtime::charge_dsm(NodeId n, SimTime fixed, double per_byte_ns,
   clock(n).advance(sigio ? TimeCat::Sigio : TimeCat::Dsm, cost);
 }
 
-void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to,
+void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to, int attempt,
                          SimTime& timeout) {
+  if (attempt >= config_.retry.max_attempts) {
+    throw ProtocolError("reliable " + std::string(sim::to_string(kind)) + " " +
+                        edge(sender, to) + " exhausted " +
+                        std::to_string(config_.retry.max_attempts) +
+                        " attempts");
+  }
   clock(sender).advance(TimeCat::Wait, timeout);
   timeout = std::min(
       static_cast<SimTime>(static_cast<double>(timeout) *
@@ -98,9 +111,8 @@ void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to,
       config_.retry.max_timeout);
   ++counters_.reliable_retries;
   if (trace_) {
-    trace_->emit("retry " + std::string(sim::to_string(kind)) + " n" +
-                 std::to_string(sender.value()) + ">n" +
-                 std::to_string(to.value()));
+    trace_->emit("retry " + std::string(sim::to_string(kind)) + " " +
+                 edge(sender, to));
   }
 }
 
@@ -112,9 +124,8 @@ void Runtime::suppress_dup(MsgKind kind, NodeId from, NodeId to,
   os(to).count_recv();
   ++counters_.dup_suppressed;
   if (trace_) {
-    trace_->emit("dup " + std::string(sim::to_string(kind)) + " n" +
-                 std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()));
+    trace_->emit("dup " + std::string(sim::to_string(kind)) + " " +
+                 edge(from, to));
   }
 }
 
@@ -124,8 +135,7 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
   UPDSM_CHECK_MSG(requester != responder,
                   "self-roundtrip on node " << requester);
   if (trace_) {
-    trace_->emit("req n" + std::to_string(requester.value()) + ">n" +
-                 std::to_string(responder.value()) + " " +
+    trace_->emit("req " + edge(requester, responder) + " " +
                  std::to_string(req_bytes) + "B " +
                  std::to_string(reply_bytes) + "B");
   }
@@ -170,14 +180,7 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
         fault_plan_->next(req_kind, requester, responder);
     if (req_fate.drop) {
       net_.record_drop(req_kind);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(req_kind)) + " n" +
-            std::to_string(requester.value()) + ">n" +
-            std::to_string(responder.value()) + " exhausted " +
-            std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(requester, req_kind, responder, timeout);
+      retry_wait(requester, req_kind, responder, attempt, timeout);
       continue;
     }
     if (req_fate.extra_delay > 0) net_.note_delay();
@@ -208,14 +211,7 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
         fault_plan_->next(MsgKind::DataReply, responder, requester);
     if (reply_fate.drop) {
       net_.record_drop(MsgKind::DataReply);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(req_kind)) + " n" +
-            std::to_string(requester.value()) + ">n" +
-            std::to_string(responder.value()) + " exhausted " +
-            std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(requester, req_kind, responder, timeout);
+      retry_wait(requester, req_kind, responder, attempt, timeout);
       continue;
     }
     if (reply_fate.extra_delay > 0) net_.note_delay();
@@ -232,54 +228,50 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
   }
 }
 
-bool Runtime::flush(NodeId from, NodeId to, std::uint64_t bytes,
-                    bool reliable) {
-  UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
-  const auto& net_costs = costs().net;
-  if (fault_plan_ != nullptr && reliable) {
-    // Correctness-critical diff flush: rides the retried reliable channel.
-    (void)reliable_send(MsgKind::Flush, from, to, bytes);
-    if (trace_) {
-      trace_->emit("flush n" + std::to_string(from.value()) + ">n" +
-                   std::to_string(to.value()) + " " + std::to_string(bytes) +
-                   "B");
-    }
-    clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-    os(to).count_recv();
-    return true;
-  }
-  net_.record(MsgKind::Flush, from, to, bytes);
-  clock(from).advance(TimeCat::Os, net_costs.send_trap);
-  os(from).count_send();
-  bool delivered = reliable || net_.flush_delivered(to);
+template <class TraceLine>
+bool Runtime::transmit(MsgKind kind, NodeId from, NodeId to,
+                       std::uint64_t bytes, bool reliable,
+                       const TraceLine& trace_line) {
+  bool delivered = true;
   bool duplicate = false;
-  if (fault_plan_ != nullptr) {
-    // The plan's stream is drawn unconditionally (independence from the
-    // legacy flush_drop_rate stream), but a message already dropped by the
-    // legacy knob is not dropped twice in the stats.
-    const sim::FaultDecision fate = fault_plan_->next(MsgKind::Flush, from, to);
-    if (fate.drop) {
-      if (delivered) net_.record_drop(MsgKind::Flush);
-      delivered = false;
-    } else if (delivered) {
-      duplicate = fate.duplicate;
-      // Extra delay on a fire-and-forget push has no timing effect in this
-      // model (the receiver absorbs it asynchronously); account it only.
-      if (fate.extra_delay > 0) net_.note_delay();
+  if (reliable) {
+    // Correctness-critical: rides the retried reliable channel, which
+    // absorbs its own duplicates.
+    (void)reliable_send(kind, from, to, bytes);
+  } else {
+    net_.record(kind, from, to, bytes);
+    clock(from).advance(TimeCat::Os, costs().net.send_trap);
+    os(from).count_send();
+    if (fault_plan_ != nullptr) {
+      const sim::FaultDecision fate = fault_plan_->next(kind, from, to);
+      if (fate.drop) {
+        net_.record_drop(kind);
+        delivered = false;
+      } else {
+        duplicate = fate.duplicate;
+        // Extra delay on a fire-and-forget push has no timing effect in
+        // this model (the receiver absorbs it asynchronously); account it
+        // only.
+        if (fate.extra_delay > 0) net_.note_delay();
+      }
     }
   }
-  if (trace_) {
-    trace_->emit("flush n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(bytes) +
-                 "B" + (delivered ? "" : " drop"));
-  }
+  if (trace_) trace_->emit(trace_line() + (delivered ? "" : " drop"));
   if (!delivered) return false;
-  clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
+  clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
   os(to).count_recv();
   // A duplicated push interrupts the receiver a second time but is
   // suppressed before the protocol sees it: updates apply exactly once.
-  if (duplicate) suppress_dup(MsgKind::Flush, from, to, bytes);
+  if (duplicate) suppress_dup(kind, from, to, bytes);
   return true;
+}
+
+bool Runtime::flush(NodeId from, NodeId to, std::uint64_t bytes,
+                    bool reliable) {
+  UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
+  return transmit(MsgKind::Flush, from, to, bytes, reliable, [&] {
+    return "flush " + edge(from, to) + " " + std::to_string(bytes) + "B";
+  });
 }
 
 void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
@@ -319,29 +311,51 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
 }
 
 void Runtime::seal_flush_batches() {
-  if (staged_.empty() || staged_active_.empty()) return;
-  if (config_.relay_threshold > 0) {
-    seal_flush_batches_relayed();
-    return;
-  }
-  const auto& net_costs = costs().net;
+  if (staged_active_.empty()) return;
   const std::size_t n = static_cast<std::size_t>(num_nodes());
   // Stage order interleaves destinations; transmission and delivery happen
   // in (sender asc, destination asc) order, exactly as a full-grid scan
-  // would visit the non-empty slots.
+  // would visit the non-empty slots. Sorting also makes each sender's
+  // batches contiguous, so the route decision below needs no per-node
+  // table: the seal does work proportional to the staged batches only
+  // (async_update seals once per publish).
   std::sort(staged_active_.begin(), staged_active_.end());
-  for (const std::size_t idx : staged_active_) {
-    {
+
+  // Pass A, (sender, destination) order: seal + census every batch and
+  // transmit the unicast ones. A producer whose unreliable batches target
+  // more than relay_threshold (> 0) distinct destinations ships them
+  // through the dissemination tree instead (pass B); reliable
+  // (diff-to-home) batches always stay unicast. Delivery callbacks wait
+  // for pass C so the global callback order is independent of routing
+  // (clock charges are additive, fault streams are per-(kind, from, to):
+  // deferral cannot change any outcome).
+  std::vector<RelaySegment> segs;
+  for (std::size_t group = 0; group < staged_active_.size();) {
+    const std::size_t sender = staged_active_[group] / n;
+    const NodeId from{static_cast<std::uint32_t>(sender)};
+    std::size_t group_end = group;
+    int unreliable_targets = 0;
+    for (; group_end < staged_active_.size() &&
+           staged_active_[group_end] / n == sender;
+         ++group_end) {
+      if (!staged_[staged_active_[group_end]].reliable) ++unreliable_targets;
+    }
+    const bool relays = config_.relay_threshold > 0 &&
+                        unreliable_targets > config_.relay_threshold;
+    for (; group < group_end; ++group) {
+      const std::size_t idx = staged_active_[group];
       StagedBatch& slot = staged_[idx];
-      const NodeId from{static_cast<std::uint32_t>(idx / n)};
       const NodeId to{static_cast<std::uint32_t>(idx % n)};
       slot.writer.seal();
-      const auto bytes = slot.writer.bytes();
+      const std::uint64_t bytes = slot.writer.bytes().size();
       const std::uint64_t records = slot.writer.record_count();
+      const bool relayed = relays && !slot.reliable;
 
-      // Record census: once per batch, never per transmission attempt, so
-      // fault-injected retries cannot inflate flush_class_records().
-      net_.note_records(MsgKind::FlushBatch, records);
+      // Record census: once per batch, never per transmission attempt or
+      // tree hop, so flush_class_records() stays invariant under retries
+      // and routing.
+      net_.note_records(relayed ? MsgKind::FlushRelay : MsgKind::FlushBatch,
+                        records);
       ++counters_.flush_batches;
       counters_.flush_batch_records += records;
       if (records > counters_.flush_batch_records_max.load()) {
@@ -352,175 +366,61 @@ void Runtime::seal_flush_batches() {
         counters_.flush_batch_records_min = records;
       }
       counters_.flush_batch_header_bytes_saved +=
-          (records - 1) * net_costs.header_bytes;
+          (records - 1) * costs().net.header_bytes;
 
-      bool delivered = true;
-      bool duplicate = false;
-      if (slot.reliable) {
-        // Any diff-to-home record makes the whole batch reliable; with no
-        // fault plan reliable_send degenerates to record + send trap.
-        (void)reliable_send(MsgKind::FlushBatch, from, to, bytes.size());
-      } else {
-        net_.record(MsgKind::FlushBatch, from, to, bytes.size());
-        clock(from).advance(TimeCat::Os, net_costs.send_trap);
-        os(from).count_send();
-        delivered = net_.flush_delivered(to, MsgKind::FlushBatch);
-        if (fault_plan_ != nullptr) {
-          // Drawn unconditionally, mirroring flush(): the plan's stream is
-          // independent of the legacy flush_drop_rate stream.
-          const sim::FaultDecision fate =
-              fault_plan_->next(MsgKind::FlushBatch, from, to);
-          if (fate.drop) {
-            if (delivered) net_.record_drop(MsgKind::FlushBatch);
-            delivered = false;
-          } else if (delivered) {
-            duplicate = fate.duplicate;
-            if (fate.extra_delay > 0) net_.note_delay();
-          }
-        }
+      if (relayed) {
+        ++counters_.relay_batches;
+        segs.push_back(RelaySegment{idx, to.value(), bytes});
+        continue;
       }
-      if (trace_) {
-        trace_->emit("flushbatch n" + std::to_string(from.value()) + ">n" +
-                     std::to_string(to.value()) + " " +
-                     std::to_string(records) + "r " +
-                     std::to_string(bytes.size()) + "B" +
-                     (delivered ? "" : " drop"));
-      }
-      if (delivered) {
-        clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-        os(to).count_recv();
-        if (duplicate) {
-          suppress_dup(MsgKind::FlushBatch, from, to, bytes.size());
-        }
-        // Iterate the sealed bytes in place: every delivery round-trips
-        // the wire format (the reader's views feed the callbacks directly).
-        FlushBatchReader reader(bytes);
-        UPDSM_CHECK(reader.header_ok());
-        FlushRecordView rec;
-        for (const FlushDeliverFn& fn : slot.deliver) {
-          UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-          if (fn) fn(rec);
-        }
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
-      }
-      // A dropped batch loses *all* its records; the protocols heal through
-      // the same per-record recovery as lost per-page flushes (bar version-
-      // index invalidation, lmw lazy refetch).
-      arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
-      slot.deliver.clear();
-      slot.reliable = false;
+      slot.delivered = transmit(
+          MsgKind::FlushBatch, from, to, bytes, slot.reliable, [&] {
+            return "flushbatch " + edge(from, to) + " " +
+                   std::to_string(records) + "r " + std::to_string(bytes) +
+                   "B";
+          });
     }
+  }
+  if (!segs.empty()) disseminate(segs);
+
+  // Pass C, (sender, destination) order: run the delivery callbacks of
+  // every batch that arrived -- unicast or relayed -- by iterating the
+  // sealed bytes in place (every delivery round-trips the wire format),
+  // then reset the slots. A lost batch loses *all* its records; the
+  // protocols heal through the same per-record recovery as lost per-page
+  // flushes (bar version-index invalidation, lmw lazy refetch).
+  for (const std::size_t idx : staged_active_) {
+    StagedBatch& slot = staged_[idx];
+    if (slot.delivered) {
+      FlushBatchReader reader(slot.writer.bytes());
+      UPDSM_CHECK(reader.header_ok());
+      FlushRecordView rec;
+      for (const FlushDeliverFn& fn : slot.deliver) {
+        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
+        if (fn) fn(rec);
+      }
+      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
+    }
+    const NodeId from{static_cast<std::uint32_t>(idx / n)};
+    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
+    slot.deliver.clear();
+    slot.reliable = false;
+    slot.delivered = false;
   }
   staged_active_.clear();
 }
 
-void Runtime::seal_flush_batches_relayed() {
-  const auto& net_costs = costs().net;
+void Runtime::disseminate(const std::vector<RelaySegment>& segs) {
   const std::size_t n = static_cast<std::size_t>(num_nodes());
   const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
-  std::sort(staged_active_.begin(), staged_active_.end());
-
-  // Route decision per sender: a producer whose unreliable batches target
-  // more than relay_threshold distinct destinations ships them through the
-  // tree; reliable (diff-to-home) batches always stay unicast.
-  std::vector<int> unreliable_targets(n, 0);
-  for (const std::size_t idx : staged_active_) {
-    if (!staged_[idx].reliable) ++unreliable_targets[idx / n];
-  }
-
-  // One traveling segment per relayed (sender, destination) batch: the
-  // sealed wire bytes are never re-serialized, intermediate hops only
-  // account their forwarding.
-  struct Segment {
-    std::size_t slot;     // index into staged_ (encodes sender and dest)
-    std::uint32_t to;     // final destination
-    std::uint64_t bytes;  // sealed batch wire size
-  };
-  std::vector<Segment> segs;
-
-  // Pass A, (sender, destination) order: seal + census every batch and
-  // transmit the unicast ones. Delivery callbacks are deferred to pass C
-  // so the global callback order is independent of routing (clock charges
-  // are additive, fault streams are per-(kind, from, to): deferral cannot
-  // change any outcome).
-  for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
-    const NodeId from{static_cast<std::uint32_t>(idx / n)};
-    const NodeId to{static_cast<std::uint32_t>(idx % n)};
-    slot.writer.seal();
-    const auto bytes = slot.writer.bytes();
-    const std::uint64_t records = slot.writer.record_count();
-    const bool relayed =
-        !slot.reliable &&
-        unreliable_targets[idx / n] > config_.relay_threshold;
-
-    // Record census: once per batch, never per transmission attempt or
-    // tree hop, so flush_class_records() stays invariant under routing.
-    net_.note_records(relayed ? MsgKind::FlushRelay : MsgKind::FlushBatch,
-                      records);
-    ++counters_.flush_batches;
-    counters_.flush_batch_records += records;
-    if (records > counters_.flush_batch_records_max.load()) {
-      counters_.flush_batch_records_max = records;
-    }
-    const std::uint64_t cur_min = counters_.flush_batch_records_min.load();
-    if (cur_min == 0 || records < cur_min) {
-      counters_.flush_batch_records_min = records;
-    }
-    counters_.flush_batch_header_bytes_saved +=
-        (records - 1) * net_costs.header_bytes;
-
-    if (relayed) {
-      ++counters_.relay_batches;
-      segs.push_back(Segment{idx, to.value(), bytes.size()});
-      continue;
-    }
-
-    bool ok = true;
-    bool duplicate = false;
-    if (slot.reliable) {
-      (void)reliable_send(MsgKind::FlushBatch, from, to, bytes.size());
-    } else {
-      net_.record(MsgKind::FlushBatch, from, to, bytes.size());
-      clock(from).advance(TimeCat::Os, net_costs.send_trap);
-      os(from).count_send();
-      ok = net_.flush_delivered(to, MsgKind::FlushBatch);
-      if (fault_plan_ != nullptr) {
-        const sim::FaultDecision fate =
-            fault_plan_->next(MsgKind::FlushBatch, from, to);
-        if (fate.drop) {
-          if (ok) net_.record_drop(MsgKind::FlushBatch);
-          ok = false;
-        } else if (ok) {
-          duplicate = fate.duplicate;
-          if (fate.extra_delay > 0) net_.note_delay();
-        }
-      }
-    }
-    if (trace_) {
-      trace_->emit("flushbatch n" + std::to_string(from.value()) + ">n" +
-                   std::to_string(to.value()) + " " + std::to_string(records) +
-                   "r " + std::to_string(bytes.size()) + "B" +
-                   (ok ? "" : " drop"));
-    }
-    if (ok) {
-      clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-      os(to).count_recv();
-      if (duplicate) {
-        suppress_dup(MsgKind::FlushBatch, from, to, bytes.size());
-      }
-    }
-    slot.delivered = ok;
-  }
-
-  // Pass B: simulate the shared dissemination tree (heap layout rooted at
-  // node 0, children of i are fanout*i+1 .. fanout*i+fanout). Up phase,
-  // children before parents: each node combines its own batches with its
-  // children's surviving segments, delivers the ones addressed to itself
-  // on the spot, and forwards the rest as ONE FlushRelay message to its
-  // parent. Down phase, parents before children: each hop carries only
-  // the segments whose destination lies in that child's subtree. A
-  // dropped hop loses every segment aboard.
+  // The shared dissemination tree: heap layout rooted at node 0, children
+  // of i are fanout*i+1 .. fanout*i+fanout. Up phase, children before
+  // parents: each node combines its own batches with its children's
+  // surviving segments, delivers the ones addressed to itself on the spot,
+  // and forwards the rest as ONE FlushRelay message to its parent. Down
+  // phase, parents before children: each hop carries only the segments
+  // whose destination lies in that child's subtree. A dropped hop loses
+  // every segment aboard.
   std::vector<std::vector<std::size_t>> at(n);
   for (std::size_t s = 0; s < segs.size(); ++s) {
     at[segs[s].slot / n].push_back(s);
@@ -581,74 +481,25 @@ void Runtime::seal_flush_batches_relayed() {
     }
     at[i].clear();
   }
-
-  // Pass C, (sender, destination) order: run the delivery callbacks of
-  // every batch that arrived -- unicast or relayed -- by iterating the
-  // sealed bytes in place, then reset the slots. A lost batch loses *all*
-  // its records; the protocols heal through the same per-record recovery
-  // as lost per-page flushes.
-  for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
-    if (slot.delivered) {
-      FlushBatchReader reader(slot.writer.bytes());
-      UPDSM_CHECK(reader.header_ok());
-      FlushRecordView rec;
-      for (const FlushDeliverFn& fn : slot.deliver) {
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-        if (fn) fn(rec);
-      }
-      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
-    }
-    const NodeId from{
-        static_cast<std::uint32_t>(idx / static_cast<std::size_t>(num_nodes()))};
-    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
-    slot.deliver.clear();
-    slot.reliable = false;
-    slot.delivered = false;
-  }
-  staged_active_.clear();
 }
 
 bool Runtime::relay_hop(NodeId from, NodeId to, std::uint64_t bytes,
                         std::size_t segments) {
-  const auto& net_costs = costs().net;
-  net_.record(MsgKind::FlushRelay, from, to, bytes);
-  clock(from).advance(TimeCat::Os, net_costs.send_trap);
-  os(from).count_send();
   ++counters_.relay_messages;
   counters_.relay_forwarded_bytes += bytes;
-  bool ok = net_.flush_delivered(to, MsgKind::FlushRelay);
-  bool duplicate = false;
-  if (fault_plan_ != nullptr) {
-    const sim::FaultDecision fate =
-        fault_plan_->next(MsgKind::FlushRelay, from, to);
-    if (fate.drop) {
-      if (ok) net_.record_drop(MsgKind::FlushRelay);
-      ok = false;
-    } else if (ok) {
-      duplicate = fate.duplicate;
-      if (fate.extra_delay > 0) net_.note_delay();
-    }
-  }
+  const bool ok =
+      transmit(MsgKind::FlushRelay, from, to, bytes, /*reliable=*/false, [&] {
+        return "flushrelay " + edge(from, to) + " " +
+               std::to_string(segments) + "s " + std::to_string(bytes) + "B";
+      });
   if (!ok) ++counters_.relay_subtree_losses;
-  if (trace_) {
-    trace_->emit("flushrelay n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(segments) +
-                 "s " + std::to_string(bytes) + "B" + (ok ? "" : " drop"));
-  }
-  if (!ok) return false;
-  clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-  os(to).count_recv();
-  if (duplicate) suppress_dup(MsgKind::FlushRelay, from, to, bytes);
-  return true;
+  return ok;
 }
 
 void Runtime::control(NodeId from, NodeId to, std::uint64_t bytes) {
   if (from == to) return;
   if (trace_) {
-    trace_->emit("ctl n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(bytes) +
-                 "B");
+    trace_->emit("ctl " + edge(from, to) + " " + std::to_string(bytes) + "B");
   }
   (void)reliable_send(MsgKind::Control, from, to, bytes);
   clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
@@ -669,13 +520,7 @@ SimTime Runtime::reliable_send(MsgKind kind, NodeId from, NodeId to,
     const sim::FaultDecision fate = fault_plan_->next(kind, from, to);
     if (fate.drop) {
       net_.record_drop(kind);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(kind)) + " n" +
-            std::to_string(from.value()) + ">n" + std::to_string(to.value()) +
-            " exhausted " + std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(from, kind, to, timeout);
+      retry_wait(from, kind, to, attempt, timeout);
       continue;
     }
     if (fate.duplicate) suppress_dup(kind, from, to, bytes);

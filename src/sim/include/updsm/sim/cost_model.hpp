@@ -42,10 +42,6 @@ struct NetworkCosts {
   SimTime recv_trap = usec(15);
   /// Per-message header bytes, counted in the "data" statistics.
   std::uint32_t header_bytes = 32;
-  /// Fraction of unreliable flush messages that are silently dropped.
-  /// Lost flushes must never affect correctness (paper §2.1.2), only
-  /// performance; the failure-injection tests raise this.
-  double flush_drop_rate = 0.0;
 
   /// One-way wire time for a payload of `bytes` (excluding traps).
   [[nodiscard]] SimTime wire_time(std::uint64_t bytes) const {

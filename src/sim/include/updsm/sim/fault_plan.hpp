@@ -9,13 +9,15 @@
 // service-side dedup; barrier-time update pushes stay fire-and-forget and
 // are healed lazily by the protocols' version indices (paper §2.1.2).
 //
-// Determinism contract (same flavour as Network's flush drop streams): the
-// decision for the k-th message of a given (kind, from, to) triple depends
-// only on (seed, spec, triple, k) -- a stateless splitmix64 hash keyed by
-// the triple's private sequence counter. Every triple's message sequence is
-// issued in one thread's program order (a sender's requests mid-phase, or
-// the controller at barriers), so the injected schedule -- and everything
-// downstream -- is bit-identical across gang modes and host schedules.
+// The plan is the simulator's only source of message loss.
+//
+// Determinism contract: the decision for the k-th message of a given
+// (kind, from, to) triple depends only on (seed, spec, triple, k) -- a
+// stateless splitmix64 hash keyed by the triple's private sequence counter.
+// Every triple's message sequence is issued in one thread's program order
+// (a sender's requests mid-phase, or the controller at barriers), so the
+// injected schedule -- and everything downstream -- is bit-identical across
+// gang modes and host schedules.
 // Node stalls are keyed (node, barrier index) and drawn statelessly.
 //
 // Concurrency: next() mutates only the counter of the queried triple.

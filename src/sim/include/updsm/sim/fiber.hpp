@@ -16,8 +16,10 @@
 // Under ThreadSanitizer every stack switch is announced through the TSan
 // fiber API so the runtime tracks each fiber as its own synchronization
 // context; without it, TSan would see one OS thread's history jump between
-// unrelated stacks and report phantom races. ASan fake-stack annotations
-// are deliberately not wired up -- CI sanitizes with TSan only.
+// unrelated stacks and report phantom races. Under AddressSanitizer every
+// switch is bracketed by __sanitizer_start/finish_switch_fiber, so ASan
+// knows which stack is live: without it, an exception unwinding a fiber
+// stack is reported as a stack-buffer-overflow.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +60,8 @@ class Fiber {
   [[nodiscard]] bool live() const { return live_; }
 
  private:
-  struct Impl;  // ucontext pair + TSan fiber handles (keeps <ucontext.h>
-                // and the sanitizer header out of this header)
+  struct Impl;  // ucontext pair + sanitizer fiber state (keeps
+                // <ucontext.h> and the sanitizer headers out of this header)
 
   static void trampoline(unsigned self_hi, unsigned self_lo);
   void run_trampoline();

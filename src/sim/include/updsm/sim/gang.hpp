@@ -242,6 +242,8 @@ class Gang {
   // publishes with the release epoch increment).
   std::atomic<int> phase_remaining_{0};
   std::atomic<std::uint64_t> phase_epoch_{0};
+  /// Controller scratch: the workers release_parallel_phase() wakes.
+  std::vector<int> live_workers_;
 
   // Baton mode: whose turn it is (kController between phases); turn_ and
   // the node statuses are guarded by baton_mu_ there.

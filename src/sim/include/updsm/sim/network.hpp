@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "updsm/common/rng.hpp"
 #include "updsm/common/types.hpp"
 #include "updsm/sim/cost_model.hpp"
 #include "updsm/sim/time.hpp"
@@ -125,8 +124,7 @@ struct NetworkStats {
     return sum;
   }
 
-  /// Every message lost in transit, whatever its kind (legacy flush drops
-  /// and fault-plan drops alike).
+  /// Every message lost in transit, whatever its kind.
   [[nodiscard]] std::uint64_t total_dropped() const {
     std::uint64_t sum = 0;
     for (const auto& c : by_kind) sum += c.dropped;
@@ -139,8 +137,7 @@ class Network {
  public:
   /// `num_nodes` sizes the per-thread stat shards; accounting from node i
   /// lands in shard i+1, everything else (controller, tests) in shard 0.
-  Network(const NetworkCosts& costs, std::uint64_t drop_seed,
-          int num_nodes = 1);
+  explicit Network(const NetworkCosts& costs, int num_nodes = 1);
 
   /// Records one message of `kind` with `payload_bytes` of payload and
   /// returns its one-way wire time. Self-sends (from == to) are free and
@@ -148,22 +145,6 @@ class Network {
   /// under the parallel gang: writes only the calling thread's shard.
   SimTime record(MsgKind kind, NodeId from, NodeId to,
                  std::uint64_t payload_bytes);
-
-  /// Decides the fate of one unreliable flush to `to`. Deterministic given
-  /// the seed AND independent of node scheduling order: each destination
-  /// owns a private RNG stream seeded
-  ///   splitmix64(drop_seed ^ splitmix64(dest + 1)),
-  /// so the k-th flush arriving at a destination gets the k-th draw of that
-  /// destination's stream no matter which nodes sent the other flushes or
-  /// in which order other destinations were hit. (All flushes today are
-  /// issued from the barrier's node-ordered loops, so the per-destination
-  /// arrival sequence itself is deterministic.) `kind` selects where a loss
-  /// is accounted: per-page flushes drop under Flush, aggregated batches
-  /// under FlushBatch; both consume the same per-destination stream, so the
-  /// k-th flush-class message at a destination draws the k-th value
-  /// whichever path produced it.
-  [[nodiscard]] bool flush_delivered(NodeId to = NodeId{0},
-                                     MsgKind kind = MsgKind::Flush);
 
   /// Accounts `records` page records carried by a message of `kind` (called
   /// once per batch, not per transmission attempt, so retries never inflate
@@ -183,10 +164,6 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const;
   [[nodiscard]] const NetworkCosts& costs() const { return costs_; }
 
-  /// Flush messages lost in transit (== stats().of(Flush).dropped).
-  /// Controller context only.
-  std::uint64_t dropped_flushes() const;
-
   /// Clears statistics at the start of the measurement window.
   /// Controller context only.
   void reset_stats();
@@ -200,9 +177,7 @@ class Network {
   [[nodiscard]] Shard& my_shard();
 
   NetworkCosts costs_;
-  std::vector<Shard> shards_;          // [0]=controller, [i+1]=node i
-  std::vector<Xoshiro256> drop_rngs_;  // one stream per destination
-  std::uint64_t drop_seed_;
+  std::vector<Shard> shards_;  // [0]=controller, [i+1]=node i
   mutable NetworkStats merged_;  // scratch for stats(); controller-only
 };
 

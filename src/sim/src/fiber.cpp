@@ -21,6 +21,18 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define UPDSM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define UPDSM_ASAN_FIBERS 1
+#endif
+#endif
+
+#ifdef UPDSM_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace updsm::sim {
 
 struct Fiber::Impl {
@@ -29,6 +41,14 @@ struct Fiber::Impl {
 #ifdef UPDSM_TSAN_FIBERS
   void* tsan_fiber = nullptr;
   void* tsan_host = nullptr;
+#endif
+#ifdef UPDSM_ASAN_FIBERS
+  // The fiber's fake stack while it is switched out, and the stack of the
+  // host it returns to (a fiber may be resumed from different threads, so
+  // the host stack is re-learned on every switch in).
+  void* asan_fake_stack = nullptr;
+  const void* host_stack_bottom = nullptr;
+  std::size_t host_stack_size = 0;
 #endif
 };
 
@@ -85,6 +105,10 @@ void Fiber::trampoline(unsigned self_hi, unsigned self_lo) {
 }
 
 void Fiber::run_trampoline() {
+#ifdef UPDSM_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &impl_->host_stack_bottom,
+                                  &impl_->host_stack_size);
+#endif
   fn_();
   live_ = false;
   switch_out();
@@ -97,7 +121,16 @@ bool Fiber::resume() {
   impl_->tsan_host = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(impl_->tsan_fiber, 0);
 #endif
+#ifdef UPDSM_ASAN_FIBERS
+  void* host_fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&host_fake_stack,
+                                 map_base_ + (map_bytes_ - stack_bytes_),
+                                 stack_bytes_);
+#endif
   ::swapcontext(&impl_->host_ctx, &impl_->fiber_ctx);
+#ifdef UPDSM_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(host_fake_stack, nullptr, nullptr);
+#endif
   return !live_;
 }
 
@@ -107,7 +140,19 @@ void Fiber::switch_out() {
 #ifdef UPDSM_TSAN_FIBERS
   __tsan_switch_to_fiber(impl_->tsan_host, 0);
 #endif
+#ifdef UPDSM_ASAN_FIBERS
+  // A finished fiber never resumes: a null save slot lets ASan free its
+  // fake stack.
+  __sanitizer_start_switch_fiber(live_ ? &impl_->asan_fake_stack : nullptr,
+                                 impl_->host_stack_bottom,
+                                 impl_->host_stack_size);
+#endif
   ::swapcontext(&impl_->fiber_ctx, &impl_->host_ctx);
+#ifdef UPDSM_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(impl_->asan_fake_stack,
+                                  &impl_->host_stack_bottom,
+                                  &impl_->host_stack_size);
+#endif
 }
 
 }  // namespace updsm::sim

@@ -63,6 +63,7 @@ Gang::Gang(int num_nodes, GangMode mode, int workers)
         span_[w] + base + (w < rem ? 1 : 0);
   }
   parkers_.reserve(static_cast<std::size_t>(num_workers_));
+  live_workers_.reserve(static_cast<std::size_t>(num_workers_));
   threads_.reserve(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     parkers_.push_back(std::make_unique<Parker>());
@@ -392,27 +393,26 @@ void Gang::controller_baton(const BarrierFn& barrier_cb) {
 
 bool Gang::release_parallel_phase() {
   // Only called with every worker quiescent (arrived or detached), so the
-  // status scan cannot race. Wakes exactly the workers that still own a
-  // live node: O(M) targeted wakes, no herd.
-  int live_workers = 0;
+  // status scan cannot race -- until the epoch bump below releases them: a
+  // worker that had not parked yet runs at once and writes its statuses,
+  // so the wake list is taken before the bump, never re-read after it.
+  // Wakes exactly the workers that still own a live node: O(M) targeted
+  // wakes, no herd.
+  live_workers_.clear();
   for (int w = 0; w < num_workers_; ++w) {
     for (int n = span_first(w); n < span_last(w); ++n) {
       if (slots_[static_cast<std::size_t>(n)]->status != NodeStatus::Done) {
-        ++live_workers;
+        live_workers_.push_back(w);
         break;
       }
     }
   }
-  if (live_workers == 0) return false;
-  phase_remaining_.store(live_workers, std::memory_order_relaxed);
+  if (live_workers_.empty()) return false;
+  phase_remaining_.store(static_cast<int>(live_workers_.size()),
+                         std::memory_order_relaxed);
   phase_epoch_.fetch_add(1, std::memory_order_release);
-  for (int w = 0; w < num_workers_; ++w) {
-    for (int n = span_first(w); n < span_last(w); ++n) {
-      if (slots_[static_cast<std::size_t>(n)]->status != NodeStatus::Done) {
-        parkers_[static_cast<std::size_t>(w)]->wake();
-        break;
-      }
-    }
+  for (const int w : live_workers_) {
+    parkers_[static_cast<std::size_t>(w)]->wake();
   }
   return true;
 }

@@ -8,6 +8,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 # fft only coalesces once rows span several pages; 0.5 is the smallest
 # scale where the sweep exercises real multi-record batches (see the bench
@@ -34,20 +35,14 @@ foreach(run jobs1 jobs4 jobs1_again)
   endif()
   file(READ ${BENCH_DIR}/BENCH_aggregation.json json_${run})
 endforeach()
-if(NOT out_jobs1 STREQUAL out_jobs4)
-  message(FATAL_ERROR
-    "ablation_aggregation: stdout differs between --jobs=1 and --jobs=4")
-endif()
-if(NOT out_jobs1 STREQUAL out_jobs1_again)
-  message(FATAL_ERROR "ablation_aggregation: repeated runs differ")
-endif()
-if(NOT json_jobs1 STREQUAL json_jobs4)
-  message(FATAL_ERROR
-    "BENCH_aggregation.json differs between --jobs=1 and --jobs=4")
-endif()
-if(NOT json_jobs1 STREQUAL json_jobs1_again)
-  message(FATAL_ERROR "BENCH_aggregation.json differs across reruns")
-endif()
+bench_expect_identical("${out_jobs1}" "${out_jobs4}"
+  "ablation_aggregation: stdout differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${out_jobs1}" "${out_jobs1_again}"
+  "ablation_aggregation: repeated runs differ")
+bench_expect_identical("${json_jobs1}" "${json_jobs4}"
+  "BENCH_aggregation.json differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${json_jobs1}" "${json_jobs1_again}"
+  "BENCH_aggregation.json differs across reruns")
 message(STATUS
   "ablation_aggregation: byte-identical across --jobs and reruns")
 

@@ -9,13 +9,13 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 set(flags --quick)
 
 # --jobs=1 vs --jobs=4, a --workers=2 run, plus a repeat of --jobs=1: all
-# byte-identical on stdout. The JSON stamps host provenance (including the
-# resolved worker count, on purpose), so the workers-varied run is compared
-# with that one line masked out.
+# byte-identical, on stdout and in the emitted JSON outside its "host"
+# object (which stamps the resolved worker count, on purpose).
 foreach(run jobs1 jobs4 workers2 jobs1_again)
   set(extra "")
   if(run STREQUAL jobs4)
@@ -35,19 +35,13 @@ foreach(run jobs1 jobs4 workers2 jobs1_again)
     message(FATAL_ERROR
       "ablation_async (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_async.json raw)
-  string(REGEX REPLACE "\"workers\": [0-9]+" "\"workers\": X" raw "${raw}")
-  set(json_${run} "${raw}")
+  file(READ ${BENCH_DIR}/BENCH_async.json json_${run})
 endforeach()
 foreach(run jobs4 workers2 jobs1_again)
-  if(NOT out_jobs1 STREQUAL out_${run})
-    message(FATAL_ERROR
-      "ablation_async: stdout differs between --jobs=1 and ${run}")
-  endif()
-  if(NOT json_jobs1 STREQUAL json_${run})
-    message(FATAL_ERROR
-      "BENCH_async.json differs between --jobs=1 and ${run}")
-  endif()
+  bench_expect_identical("${out_jobs1}" "${out_${run}}"
+    "ablation_async: stdout differs between --jobs=1 and ${run}")
+  bench_expect_identical("${json_jobs1}" "${json_${run}}"
+    "BENCH_async.json differs between --jobs=1 and ${run}")
 endforeach()
 message(STATUS
   "ablation_async: byte-identical across --jobs, --workers and reruns")
@@ -83,10 +77,8 @@ execute_process(COMMAND ${runner} ${common} --workers=4
 if(NOT rc_w1 EQUAL 0 OR NOT rc_w4 EQUAL 0)
   message(FATAL_ERROR "updsm_run --gang=async smoke failed to run")
 endif()
-if(NOT out_w1 STREQUAL out_w4)
-  message(FATAL_ERROR
-    "updsm_run: --gang=async output differs between --workers=1 and 4")
-endif()
+bench_expect_identical("${out_w1}" "${out_w4}"
+  "updsm_run: --gang=async output differs between --workers=1 and 4")
 if(NOT out_w1 MATCHES "async[ ]+[0-9]+ steps")
   message(FATAL_ERROR
     "updsm_run: --gang=async run reported no async steps")

@@ -7,6 +7,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 set(flags --quick --scale=0.12 --iters=2 --nodes=4)
 
@@ -28,14 +29,10 @@ foreach(run jobs1 jobs4 jobs1_again)
       "ablation_faults (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
 endforeach()
-if(NOT out_jobs1 STREQUAL out_jobs4)
-  message(FATAL_ERROR
-    "ablation_faults: stdout differs between --jobs=1 and --jobs=4")
-endif()
-if(NOT out_jobs1 STREQUAL out_jobs1_again)
-  message(FATAL_ERROR
-    "ablation_faults: repeated runs with --fault-seed=42 differ")
-endif()
+bench_expect_identical("${out_jobs1}" "${out_jobs4}"
+  "ablation_faults: stdout differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${out_jobs1}" "${out_jobs1_again}"
+  "ablation_faults: repeated runs with --fault-seed=42 differ")
 message(STATUS "ablation_faults: byte-identical across --jobs and reruns")
 
 # A different seed must change the injected schedule somewhere.

@@ -6,6 +6,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 set(flags --quick --scale=0.15 --iters=2)
 foreach(bench sweep_matrix fig2_speedups fig3_breakdown claims_summary
@@ -21,9 +22,7 @@ foreach(bench sweep_matrix fig2_speedups fig3_breakdown claims_summary
         "${bench} --gang=${gang} failed (${rc_${gang}}): ${err_${gang}}")
     endif()
   endforeach()
-  if(NOT out_baton STREQUAL out_parallel)
-    message(FATAL_ERROR
-      "${bench}: stdout differs between --gang=baton and --gang=parallel")
-  endif()
+  bench_expect_identical("${out_baton}" "${out_parallel}"
+    "${bench}: stdout differs between --gang=baton and --gang=parallel")
   message(STATUS "${bench}: --gang=baton and --gang=parallel byte-identical")
 endforeach()

@@ -5,6 +5,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 set(flags --quick --scale=0.15 --iters=2)
 foreach(bench sweep_matrix fig2_speedups fig3_breakdown claims_summary
@@ -20,9 +21,7 @@ foreach(bench sweep_matrix fig2_speedups fig3_breakdown claims_summary
         "${bench} --jobs=${jobs} failed (${rc_${jobs}}): ${err_${jobs}}")
     endif()
   endforeach()
-  if(NOT out_1 STREQUAL out_4)
-    message(FATAL_ERROR
-      "${bench}: stdout differs between --jobs=1 and --jobs=4")
-  endif()
+  bench_expect_identical("${out_1}" "${out_4}"
+    "${bench}: stdout differs between --jobs=1 and --jobs=4")
   message(STATUS "${bench}: --jobs=1 and --jobs=4 byte-identical")
 endforeach()

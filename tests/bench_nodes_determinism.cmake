@@ -9,6 +9,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 # 8 and 64 nodes cover both the legacy size and a post-64 cluster the flat
 # stack could never reach; --quick keeps the 64-node sweep inside the test
@@ -35,20 +36,14 @@ foreach(run jobs1 jobs4 jobs1_again)
   endif()
   file(READ ${BENCH_DIR}/BENCH_nodes.json json_${run})
 endforeach()
-if(NOT out_jobs1 STREQUAL out_jobs4)
-  message(FATAL_ERROR
-    "ablation_nodes: stdout differs between --jobs=1 and --jobs=4")
-endif()
-if(NOT out_jobs1 STREQUAL out_jobs1_again)
-  message(FATAL_ERROR "ablation_nodes: repeated runs differ")
-endif()
-if(NOT json_jobs1 STREQUAL json_jobs4)
-  message(FATAL_ERROR
-    "BENCH_nodes.json differs between --jobs=1 and --jobs=4")
-endif()
-if(NOT json_jobs1 STREQUAL json_jobs1_again)
-  message(FATAL_ERROR "BENCH_nodes.json differs across reruns")
-endif()
+bench_expect_identical("${out_jobs1}" "${out_jobs4}"
+  "ablation_nodes: stdout differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${out_jobs1}" "${out_jobs1_again}"
+  "ablation_nodes: repeated runs differ")
+bench_expect_identical("${json_jobs1}" "${json_jobs4}"
+  "BENCH_nodes.json differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${json_jobs1}" "${json_jobs1_again}"
+  "BENCH_nodes.json differs across reruns")
 message(STATUS "ablation_nodes: byte-identical across --jobs and reruns")
 
 # The sweep must show the tree actually engaging: relayed batches at 64

@@ -9,11 +9,13 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 set(flags --quick)
 
 # --jobs=1 vs --jobs=4, a --workers=1 run, plus a repeat of --jobs=1: all
-# byte-identical, on stdout and in the emitted JSON.
+# byte-identical, on stdout and in the emitted JSON outside its "host"
+# object (which stamps the resolved worker count).
 foreach(run jobs1 jobs4 workers1 jobs1_again)
   set(extra "")
   if(run STREQUAL jobs4)
@@ -36,14 +38,10 @@ foreach(run jobs1 jobs4 workers1 jobs1_again)
   file(READ ${BENCH_DIR}/BENCH_profiles.json json_${run})
 endforeach()
 foreach(run jobs4 workers1 jobs1_again)
-  if(NOT out_jobs1 STREQUAL out_${run})
-    message(FATAL_ERROR
-      "ablation_profiles: stdout differs between --jobs=1 and ${run}")
-  endif()
-  if(NOT json_jobs1 STREQUAL json_${run})
-    message(FATAL_ERROR
-      "BENCH_profiles.json differs between --jobs=1 and ${run}")
-  endif()
+  bench_expect_identical("${out_jobs1}" "${out_${run}}"
+    "ablation_profiles: stdout differs between --jobs=1 and ${run}")
+  bench_expect_identical("${json_jobs1}" "${json_${run}}"
+    "BENCH_profiles.json differs between --jobs=1 and ${run}")
 endforeach()
 message(STATUS
   "ablation_profiles: byte-identical across --jobs, --workers and reruns")

@@ -8,6 +8,7 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_compare.cmake)
 
 # Grid benches: one reference run at --workers=1, then wider pools. 99
 # over-subscribes every --quick cluster size, so it exercises the clamp.
@@ -26,8 +27,8 @@ foreach(bench sweep_matrix fig2_speedups claims_summary)
     endif()
     if(reference STREQUAL "")
       set(reference "${out}")
-    elseif(NOT out STREQUAL reference)
-      message(FATAL_ERROR
+    else()
+      bench_expect_identical("${out}" "${reference}"
         "${bench}: stdout differs between --workers=1 and --workers=${workers}")
     endif()
   endforeach()
@@ -49,8 +50,6 @@ foreach(tag a b)
       "wallclock_scaling --workers-list=${sweep_${tag}} failed (${rc}): ${err}")
   endif()
 endforeach()
-if(NOT "${out_a}" STREQUAL "${out_b}")
-  message(FATAL_ERROR
-    "wallclock_scaling: check lines differ across --workers-list sweeps")
-endif()
+bench_expect_identical("${out_a}" "${out_b}"
+  "wallclock_scaling: check lines differ across --workers-list sweeps")
 message(STATUS "wallclock_scaling: check lines identical across sweeps")

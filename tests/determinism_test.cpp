@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "updsm/harness/experiment.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -44,8 +45,8 @@ TEST(DeterminismTest, IdenticalRunsAreBitIdentical) {
 TEST(DeterminismTest, SeedChangesDataNotStructure) {
   const auto a = run_fixture(ProtocolKind::BarU, 1);
   const auto b = run_fixture(ProtocolKind::BarU, 2);
-  // expl's initial field does not depend on the seed, but the simulator's
-  // internals (drop RNG with rate 0) must not either: structure identical.
+  // expl's initial field does not depend on the seed, and neither may the
+  // simulator's internals: structure identical.
   EXPECT_EQ(a.counters.diffs_created, b.counters.diffs_created);
   EXPECT_EQ(a.net.table_messages(), b.net.table_messages());
 }
@@ -57,10 +58,12 @@ TEST(DeterminismTest, DropRateRunsAreSeedDeterministic) {
   params.measured_iterations = 3;
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.costs.net.flush_drop_rate = 0.3;
+  cfg.faults = testing_support::flush_loss(0.3);
+  cfg.fault_seed = 7;
   cfg.seed = 7;
   const auto a = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
   const auto b = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
+  EXPECT_GT(a.net.total_dropped(), 0u) << "the plan must actually bite";
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.counters.updates_ignored, b.counters.updates_ignored);
   EXPECT_EQ(a.counters.remote_misses, b.counters.remote_misses);

@@ -2,8 +2,8 @@
 // (seed, spec, traffic), rules must target exactly what their filters say,
 // and the text form must round-trip losslessly -- these three properties
 // are what make a fault plan a *reproducible* adversary rather than noise.
-// Also pins the flush-drop accounting: a flush lost to the legacy
-// flush_drop_rate knob must show up both in NetworkStats and in the trace.
+// Also pins the flush-drop accounting: a flush the plan drops must show up
+// both in NetworkStats and in the trace.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/protocols/factory.hpp"
 #include "updsm/sim/fault_plan.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -214,94 +215,63 @@ TEST(FaultPlanTest, SerializeRoundTripsSeedAndSchedule) {
   }
 }
 
-// Regression: the legacy flush_drop_rate knob used to vanish into thin air
-// -- flushes were lost without any NetworkStats evidence. Every dropped
-// flush must now increment the Flush drop counter and leave a trace line.
-TEST(FlushDropAccountingTest, LegacyDropRateFeedsStatsAndTrace) {
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.page_size = 1024;
-  cfg.trace = true;
-  cfg.aggregate_flushes = false;  // this test pins the per-page path
-  cfg.costs.net.flush_drop_rate = 1.0;  // lose every update push
-  mem::SharedHeap heap(cfg.page_size);
-  const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
-  dsm::Cluster cluster(cfg, heap,
-                       protocols::make_protocol(protocols::ProtocolKind::BarU));
-  cluster.run([&](dsm::NodeContext& ctx) {
-    auto x = ctx.array<double>(a, 256);
-    for (int iter = 1; iter <= 3; ++iter) {
-      ctx.iteration_begin();
-      if (ctx.node() == 0) {
-        auto w = x.write_view(0, 256);
-        for (std::size_t i = 0; i < 256; ++i) w[i] = iter * 100.0 + i;
+// Every flush-class message the plan drops must show up both in the
+// NetworkStats drop counter of its kind and as a " drop" trace line, on the
+// per-page path (Flush) and the aggregated one (FlushBatch, where the whole
+// per-destination batch vanishes) -- and the computation must survive it
+// (version-index recovery).
+TEST(FlushDropAccountingTest, PlanDropsFeedStatsAndTrace) {
+  for (const bool aggregate : {false, true}) {
+    dsm::ClusterConfig cfg;
+    cfg.num_nodes = 2;
+    cfg.page_size = 1024;
+    cfg.trace = true;
+    cfg.aggregate_flushes = aggregate;
+    // Node 0 homes both pages it writes, so every flush it sends is an
+    // unreliable update push, and the plan loses all of them.
+    cfg.static_homes = {0, 0};
+    cfg.faults = testing_support::flush_loss(1.0);
+    mem::SharedHeap heap(cfg.page_size);
+    const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
+    dsm::Cluster cluster(
+        cfg, heap, protocols::make_protocol(protocols::ProtocolKind::BarU));
+    cluster.run([&](dsm::NodeContext& ctx) {
+      auto x = ctx.array<double>(a, 256);
+      for (int iter = 1; iter <= 3; ++iter) {
+        ctx.iteration_begin();
+        if (ctx.node() == 0) {
+          auto w = x.write_view(0, 256);
+          for (std::size_t i = 0; i < 256; ++i) w[i] = iter * 100.0 + i;
+        }
+        ctx.barrier();
+        if (ctx.node() == 1) {
+          EXPECT_EQ(x.get(0), iter * 100.0) << "stale read after lost push";
+        }
+        ctx.barrier();
       }
-      ctx.barrier();
-      if (ctx.node() == 1) {
-        EXPECT_EQ(x.get(0), iter * 100.0) << "stale read after lost flush";
+    });
+    const MsgKind kind = aggregate ? MsgKind::FlushBatch : MsgKind::Flush;
+    const std::string label = aggregate ? "aggregated" : "per-page";
+    const sim::NetworkStats& net = cluster.runtime().net().stats();
+    EXPECT_GT(net.of(kind).dropped, 0u) << label;
+    EXPECT_EQ(net.of(kind).dropped, net.of(kind).count)
+        << label << ": every push is lost";
+    if (aggregate) {
+      EXPECT_EQ(net.of(MsgKind::Flush).count, 0u)
+          << "aggregation leaves no per-page flushes";
+    }
+    EXPECT_EQ(net.total_dropped(), net.of(kind).dropped)
+        << label << ": only flush-class messages are lost";
+    const std::string prefix = aggregate ? "flushbatch " : "flush ";
+    std::uint64_t trace_drops = 0;
+    for (const std::string& line : cluster.runtime().trace()->lines()) {
+      if (line.compare(0, prefix.size(), prefix) == 0 && line.size() >= 4 &&
+          line.compare(line.size() - 4, 4, "drop") == 0) {
+        ++trace_drops;
       }
-      ctx.barrier();
     }
-  });
-  const sim::NetworkStats& net = cluster.runtime().net().stats();
-  EXPECT_GT(net.of(MsgKind::Flush).dropped, 0u);
-  EXPECT_EQ(net.of(MsgKind::Flush).dropped,
-            cluster.runtime().net().dropped_flushes());
-  EXPECT_EQ(net.total_dropped(), net.of(MsgKind::Flush).dropped)
-      << "only flushes ride the lossy legacy channel";
-  std::uint64_t trace_drops = 0;
-  for (const std::string& line : cluster.runtime().trace()->lines()) {
-    if (line.size() >= 5 && line.compare(0, 5, "flush") == 0 &&
-        line.size() >= 4 && line.compare(line.size() - 4, 4, "drop") == 0) {
-      ++trace_drops;
-    }
+    EXPECT_EQ(trace_drops, net.of(kind).dropped) << label;
   }
-  EXPECT_EQ(trace_drops, net.of(MsgKind::Flush).dropped);
-}
-
-// The same knob with aggregation on: losses land on FlushBatch (the whole
-// per-destination batch vanishes), with matching flushbatch trace lines,
-// and the computation still survives (version-index recovery).
-TEST(FlushDropAccountingTest, LegacyDropRateDropsWholeBatches) {
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.page_size = 1024;
-  cfg.trace = true;
-  cfg.aggregate_flushes = true;
-  cfg.costs.net.flush_drop_rate = 1.0;  // lose every update batch
-  mem::SharedHeap heap(cfg.page_size);
-  const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
-  dsm::Cluster cluster(cfg, heap,
-                       protocols::make_protocol(protocols::ProtocolKind::BarU));
-  cluster.run([&](dsm::NodeContext& ctx) {
-    auto x = ctx.array<double>(a, 256);
-    for (int iter = 1; iter <= 3; ++iter) {
-      ctx.iteration_begin();
-      if (ctx.node() == 0) {
-        auto w = x.write_view(0, 256);
-        for (std::size_t i = 0; i < 256; ++i) w[i] = iter * 100.0 + i;
-      }
-      ctx.barrier();
-      if (ctx.node() == 1) {
-        EXPECT_EQ(x.get(0), iter * 100.0) << "stale read after lost batch";
-      }
-      ctx.barrier();
-    }
-  });
-  const sim::NetworkStats& net = cluster.runtime().net().stats();
-  EXPECT_GT(net.of(MsgKind::FlushBatch).dropped, 0u);
-  EXPECT_EQ(net.of(MsgKind::Flush).count, 0u)
-      << "aggregation leaves no per-page flushes";
-  EXPECT_EQ(net.total_dropped(), net.of(MsgKind::FlushBatch).dropped)
-      << "only flush batches ride the lossy legacy channel";
-  std::uint64_t trace_drops = 0;
-  for (const std::string& line : cluster.runtime().trace()->lines()) {
-    if (line.compare(0, 10, "flushbatch") == 0 && line.size() >= 4 &&
-        line.compare(line.size() - 4, 4, "drop") == 0) {
-      ++trace_drops;
-    }
-  }
-  EXPECT_EQ(trace_drops, net.of(MsgKind::FlushBatch).dropped);
 }
 
 }  // namespace

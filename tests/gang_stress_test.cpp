@@ -19,6 +19,7 @@
 #include "updsm/dsm/cluster.hpp"
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/protocols/factory.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -126,33 +127,12 @@ void expect_identical(const Observed& baton, const Observed& parallel,
   EXPECT_EQ(baton.elapsed, parallel.elapsed) << label;
   EXPECT_EQ(baton.barriers, parallel.barriers) << label;
 
-  const dsm::ProtocolCounters& a = baton.counters;
-  const dsm::ProtocolCounters& b = parallel.counters;
-  EXPECT_EQ(a.diffs_created, b.diffs_created) << label;
-  EXPECT_EQ(a.zero_diffs, b.zero_diffs) << label;
-  EXPECT_EQ(a.remote_misses, b.remote_misses) << label;
-  EXPECT_EQ(a.read_faults, b.read_faults) << label;
-  EXPECT_EQ(a.write_faults, b.write_faults) << label;
-  EXPECT_EQ(a.twins_created, b.twins_created) << label;
-  EXPECT_EQ(a.updates_sent, b.updates_sent) << label;
-  EXPECT_EQ(a.updates_received, b.updates_received) << label;
-  EXPECT_EQ(a.updates_stored, b.updates_stored) << label;
-  EXPECT_EQ(a.updates_applied, b.updates_applied) << label;
-  EXPECT_EQ(a.updates_ignored, b.updates_ignored) << label;
-  EXPECT_EQ(a.pages_fetched, b.pages_fetched) << label;
-  EXPECT_EQ(a.migrations, b.migrations) << label;
-  EXPECT_EQ(a.retained_diff_bytes_peak, b.retained_diff_bytes_peak) << label;
-  EXPECT_EQ(a.gc_rounds, b.gc_rounds) << label;
-  EXPECT_EQ(a.overdrive_mispredictions, b.overdrive_mispredictions) << label;
-  EXPECT_EQ(a.private_entries, b.private_entries) << label;
-  EXPECT_EQ(a.private_exits, b.private_exits) << label;
-
-  for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
-    EXPECT_EQ(baton.net.by_kind[k].count, parallel.net.by_kind[k].count)
-        << label << " msg kind " << k;
-    EXPECT_EQ(baton.net.by_kind[k].bytes, parallel.net.by_kind[k].bytes)
-        << label << " msg kind " << k;
-  }
+  // Every counter and every network statistic: retries, dups, recovery
+  // and stalls, the flush-batch and relay census, adaptive and async
+  // counters, drops, records and injected dups/delays included.
+  testing_support::expect_same_counters(baton.counters, parallel.counters,
+                                        label);
+  testing_support::expect_same_net(baton.net, parallel.net, label);
 
   ASSERT_EQ(baton.breakdown.nodes.size(), parallel.breakdown.nodes.size())
       << label;

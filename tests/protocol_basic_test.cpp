@@ -13,6 +13,7 @@
 #include "updsm/dsm/cluster.hpp"
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/protocols/factory.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -156,10 +157,12 @@ TEST_P(ProtocolMatrixTest, Reductions) {
 
 TEST_P(ProtocolMatrixTest, UnreliableFlushesNeverBreakCorrectness) {
   // Paper §2.1.2: "lost flush messages do not affect correctness, only
-  // performance". Drop 40% of all update pushes and re-run the stencil
-  // pattern; results must be identical.
+  // performance". Drop 40% of all flush-class messages and re-run the
+  // stencil pattern; results must be identical (lost update pushes heal,
+  // lost diff-to-home flushes retry).
   ClusterConfig cfg = config();
-  cfg.costs.net.flush_drop_rate = 0.4;
+  cfg.faults = testing_support::flush_loss(0.4);
+  cfg.fault_seed = 11;
   mem::SharedHeap heap(cfg.page_size);
   constexpr std::size_t kCount = 800;
   const GlobalAddr base =

@@ -71,14 +71,35 @@ TEST(RuntimeTest, FlushChargesSenderAndReceiver) {
 
 TEST(RuntimeTest, DroppedFlushChargesSenderOnly) {
   ClusterConfig cfg = tiny_config();
-  cfg.costs.net.flush_drop_rate = 1.0;  // drop everything
+  cfg.faults = sim::FaultSpec::parse("kind=flush,to=1,drop=1");
   Runtime rt(cfg, 8);
   ASSERT_FALSE(rt.flush(NodeId{0}, NodeId{1}, 512));
   EXPECT_GT(rt.clock(NodeId{0}).in(TimeCat::Os), 0);
   EXPECT_EQ(rt.clock(NodeId{1}).in(TimeCat::Sigio), 0)
       << "a dropped message never reaches the receiver";
-  // Reliable flushes ignore the drop rate.
-  ASSERT_TRUE(rt.flush(NodeId{0}, NodeId{1}, 512, /*reliable=*/true));
+  EXPECT_EQ(rt.net().stats().of(MsgKind::Flush).dropped, 1u);
+}
+
+TEST(RuntimeTest, ReliableFlushesRetryThroughLoss) {
+  ClusterConfig cfg = tiny_config();
+  cfg.faults = sim::FaultSpec::parse("kind=flush,drop=0.5");
+  cfg.fault_seed = 3;
+  Runtime rt(cfg, 8);
+  // Unreliable flushes stay lost; the receiver pays only for arrivals.
+  int delivered = 0;
+  for (int i = 0; i < 16; ++i) {
+    if (rt.flush(NodeId{0}, NodeId{1}, 512)) ++delivered;
+  }
+  ASSERT_LT(delivered, 16);
+  EXPECT_EQ(rt.clock(NodeId{1}).in(TimeCat::Sigio),
+            delivered * rt.costs().net.recv_trap);
+  // Reliable flushes ride the retried channel and always arrive.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(rt.flush(NodeId{0}, NodeId{2}, 512, /*reliable=*/true));
+  }
+  EXPECT_EQ(rt.clock(NodeId{2}).in(TimeCat::Sigio),
+            8 * rt.costs().net.recv_trap);
+  EXPECT_GT(rt.counters().reliable_retries.load(), 0u);
 }
 
 TEST(RuntimeTest, ChargeDsmScalesPerByte) {

@@ -128,7 +128,7 @@ TEST(OsModelTest, CountsEvents) {
 // --- Network -------------------------------------------------------------------
 
 TEST(NetworkTest, RecordsByKindAndComputesWireTime) {
-  Network net(NetworkCosts{}, /*drop_seed=*/1);
+  Network net(NetworkCosts{});
   const SimTime t1 = net.record(MsgKind::DataRequest, NodeId{0}, NodeId{1}, 16);
   const SimTime t2 =
       net.record(MsgKind::DataReply, NodeId{1}, NodeId{0}, 8192);
@@ -139,13 +139,13 @@ TEST(NetworkTest, RecordsByKindAndComputesWireTime) {
 }
 
 TEST(NetworkTest, SelfSendsAreFreeAndUnrecorded) {
-  Network net(NetworkCosts{}, 1);
+  Network net(NetworkCosts{});
   EXPECT_EQ(net.record(MsgKind::Flush, NodeId{2}, NodeId{2}, 4096), 0);
   EXPECT_EQ(net.stats().total_one_way_messages(), 0u);
 }
 
 TEST(NetworkTest, TableMessagesExcludeReplies) {
-  Network net(NetworkCosts{}, 1);
+  Network net(NetworkCosts{});
   (void)net.record(MsgKind::DataRequest, NodeId{0}, NodeId{1}, 16);
   (void)net.record(MsgKind::DataReply, NodeId{1}, NodeId{0}, 100);
   (void)net.record(MsgKind::Flush, NodeId{0}, NodeId{2}, 64);
@@ -155,30 +155,8 @@ TEST(NetworkTest, TableMessagesExcludeReplies) {
   EXPECT_EQ(net.stats().total_one_way_messages(), 5u);
 }
 
-TEST(NetworkTest, FlushDropsAreDeterministicPerSeed) {
-  NetworkCosts costs;
-  costs.flush_drop_rate = 0.5;
-  Network a(costs, 42);
-  Network b(costs, 42);
-  Network c(costs, 43);
-  int diff = 0;
-  for (int i = 0; i < 256; ++i) {
-    const bool da = a.flush_delivered();
-    EXPECT_EQ(da, b.flush_delivered());
-    if (da != c.flush_delivered()) ++diff;
-  }
-  EXPECT_GT(diff, 0) << "different seeds should differ somewhere";
-  EXPECT_NEAR(static_cast<double>(a.dropped_flushes()) / 256.0, 0.5, 0.15);
-}
-
-TEST(NetworkTest, ZeroDropRateNeverDrops) {
-  Network net(NetworkCosts{}, 7);
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(net.flush_delivered());
-  EXPECT_EQ(net.dropped_flushes(), 0u);
-}
-
 TEST(NetworkTest, ResetClearsStats) {
-  Network net(NetworkCosts{}, 1);
+  Network net(NetworkCosts{});
   (void)net.record(MsgKind::Flush, NodeId{0}, NodeId{1}, 10);
   net.reset_stats();
   EXPECT_EQ(net.stats().total_one_way_messages(), 0u);

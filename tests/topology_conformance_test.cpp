@@ -14,8 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "updsm/apps/registry.hpp"
 #include "updsm/common/rng.hpp"
+#include "updsm/dsm/cluster.hpp"
+#include "updsm/dsm/node_context.hpp"
 #include "updsm/harness/experiment.hpp"
+#include "updsm/protocols/factory.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -215,6 +220,89 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
               "", 0);
   ASSERT_GT(rel.counters.relay_batches.load(), 0u);
   EXPECT_LT(rel.net.flush_class_messages(), uni.net.flush_class_messages());
+}
+
+/// One traced run, keeping everything it exposes: the trace, and the
+/// measured counters and network statistics.
+struct TracedRun {
+  double checksum = 0.0;
+  sim::SimTime elapsed = 0;
+  std::uint64_t barriers = 0;
+  dsm::ProtocolCounters counters;
+  sim::NetworkStats net;
+  std::vector<std::string> trace;
+};
+
+TracedRun run_traced(const char* app_name, ProtocolKind kind, GangMode gang,
+                     int relay_threshold, const std::string& plan) {
+  apps::AppParams params;
+  params.scale = 0.1;
+  params.warmup_iterations = 2;
+  params.measured_iterations = 2;
+  dsm::ClusterConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.gang = gang;
+  cfg.relay_threshold = relay_threshold;
+  cfg.trace = true;
+  if (!plan.empty()) {
+    cfg.faults = sim::FaultSpec::parse(plan);
+    cfg.fault_seed = 4242;
+  }
+  auto app = apps::make_app(app_name, params);
+  mem::SharedHeap heap(cfg.page_size);
+  app->allocate(heap);
+  dsm::Cluster cluster(cfg, heap, protocols::make_protocol(kind));
+  cluster.run([&](dsm::NodeContext& ctx) { app->run(ctx); });
+  TracedRun run;
+  run.checksum = app->result_checksum();
+  run.elapsed = cluster.elapsed();
+  run.barriers = cluster.barriers();
+  run.counters = cluster.runtime().measured_counters();
+  run.net = cluster.runtime().measured_net_stats();
+  run.trace = cluster.runtime().trace()->lines();
+  return run;
+}
+
+// One seal path: a relay threshold no sender can exceed (n - 1 is the most
+// destinations a sender has; n is above every count) must be
+// indistinguishable from relaying switched off -- same result, same
+// virtual time, every counter, every network statistic and the trace line
+// for line -- fault-free and under a seeded plan, for barrier seals and
+// the async protocol's per-publish seals alike.
+TEST(TopologyConformanceTest, UnreachableRelayThresholdMatchesRelayOff) {
+  struct Case {
+    const char* app;
+    ProtocolKind kind;
+    GangMode gang;
+  };
+  const std::vector<Case> cases{
+      {"fft", ProtocolKind::BarU, GangMode::Parallel},
+      {"fft", ProtocolKind::LmwU, GangMode::Parallel},
+      {"jacobi", ProtocolKind::BarI, GangMode::Parallel},
+      {"jacobi-async", ProtocolKind::AsyncU, GangMode::Async},
+  };
+  for (const Case& c : cases) {
+    for (const std::string plan : {"", "drop=0.08,dup=0.05,delay=0.05"}) {
+      const TracedRun off = run_traced(c.app, c.kind, c.gang, 0, plan);
+      ASSERT_NE(off.checksum, 0.0) << c.app;
+      ASSERT_GT(off.counters.flush_batches.load(), 0u) << c.app;
+      for (const int threshold : {7, 8}) {
+        const TracedRun high =
+            run_traced(c.app, c.kind, c.gang, threshold, plan);
+        const std::string ctx = std::string(c.app) + " under " +
+                                protocols::to_string(c.kind) + " threshold " +
+                                std::to_string(threshold) + " plan [" + plan +
+                                "]";
+        EXPECT_EQ(high.checksum, off.checksum) << ctx;
+        EXPECT_EQ(high.elapsed, off.elapsed) << ctx;
+        EXPECT_EQ(high.barriers, off.barriers) << ctx;
+        testing_support::expect_same_counters(high.counters, off.counters,
+                                              ctx);
+        testing_support::expect_same_net(high.net, off.net, ctx);
+        EXPECT_EQ(high.trace, off.trace) << ctx;
+      }
+    }
+  }
 }
 
 // Under faults the packet pattern differs by topology (a dropped relay hop

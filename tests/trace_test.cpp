@@ -27,6 +27,7 @@
 #include "updsm/dsm/cluster.hpp"
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/protocols/factory.hpp"
+#include "test_support.hpp"
 
 namespace updsm {
 namespace {
@@ -271,7 +272,13 @@ TEST(TraceTest, FlushLinesReconcileWithNetworkStats) {
     cfg.page_size = 1024;
     cfg.trace = true;
     cfg.aggregate_flushes = aggregate;
-    cfg.costs.net.flush_drop_rate = 0.3;  // exercise the drop suffix too
+    // Exercise the drop suffix too: this seed drops one of the three
+    // pushes on each path. Node 0 homes both pages, so every flush it
+    // sends is an unreliable push: no retransmission adds traffic that has
+    // no line of its own.
+    cfg.static_homes = {0, 0};
+    cfg.faults = testing_support::flush_loss(0.3);
+    cfg.fault_seed = 3;
     mem::SharedHeap heap(cfg.page_size);
     const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
     dsm::Cluster cluster(
@@ -316,6 +323,7 @@ TEST(TraceTest, FlushLinesReconcileWithNetworkStats) {
     const sim::NetworkStats& net = cluster.runtime().net().stats();
     ASSERT_GT(lines, 0u);
     EXPECT_EQ(lines, net.of(kind).count);
+    EXPECT_GT(drops, 0u);
     EXPECT_EQ(drops, net.of(kind).dropped);
     EXPECT_EQ(bytes + lines * cfg.costs.net.header_bytes, net.of(kind).bytes);
     if (aggregate) {

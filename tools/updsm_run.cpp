@@ -39,7 +39,6 @@ struct Options {
   std::string net_profile = "sp2";
   std::vector<std::string> cost_overrides;
   int adaptive_window = 4;
-  double drop_rate = 0.0;
   std::string faults;  // fault-spec text or a file containing one
   std::uint64_t fault_seed = 0;
   bool migration = true;
@@ -81,9 +80,9 @@ struct Options {
       "                    (pass an unknown key to list the valid ones)\n"
       "  --adaptive-window=W  sliding-window length (written epochs) for\n"
       "                    --protocol=adaptive (default 4)\n"
-      "  --drop-rate=F     fraction of update flushes dropped (default 0)\n"
-      "  --faults=SPEC     fault-injection plan (inline spec or a file);\n"
-      "                    e.g. 'drop=0.1' or 'kind=flush,to=2,drop=0.5'\n"
+      "  --faults=SPEC     fault-injection plan (inline spec or a file), the\n"
+      "                    only source of message loss; e.g. 'drop=0.1' or\n"
+      "                    'kind=flushbatch,to=2,drop=0.5'\n"
       "                    (see sim/fault_plan.hpp for the grammar)\n"
       "  --fault-seed=N    seed for the fault plan's decision streams\n"
       "  --no-migration    disable runtime home migration\n"
@@ -156,8 +155,6 @@ Options parse(int argc, char** argv) {
       opt.cost_overrides.emplace_back(v);
     } else if (const char* v = value("--adaptive-window=")) {
       opt.adaptive_window = std::atoi(v);
-    } else if (const char* v = value("--drop-rate=")) {
-      opt.drop_rate = std::atof(v);
     } else if (const char* v = value("--faults=")) {
       opt.faults = v;
     } else if (const char* v = value("--fault-seed=")) {
@@ -228,15 +225,13 @@ dsm::ClusterConfig cluster_config(const Options& opt) {
   cfg.barrier_fanout = opt.fanout;
   cfg.relay_threshold = opt.relay_threshold;
   cfg.relay_fanout = opt.relay_fanout;
-  // Profile first, overrides second, then the local knobs that also live in
-  // the cost model -- so --drop-rate composes with either profile.
+  // Profile first, then the per-key overrides on top of it.
   cfg.net_profile = opt.net_profile;
   cfg.costs = sim::CostModel::from_profile(opt.net_profile);
   sim::apply_cost_overrides(cfg.costs, opt.cost_overrides);
   cfg.adaptive_window = opt.adaptive_window;
   cfg.staleness_bound = opt.staleness;
   cfg.async_tolerance = opt.tolerance;
-  cfg.costs.net.flush_drop_rate = opt.drop_rate;
   if (!opt.faults.empty()) {
     cfg.faults = sim::FaultSpec::parse(load_fault_spec(opt.faults));
     cfg.fault_seed = opt.fault_seed;
