@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -279,7 +280,7 @@ class Runtime {
   /// tree: the sealed wire bytes are never re-serialized, intermediate hops
   /// only account their forwarding.
   struct RelaySegment {
-    std::size_t slot;     // index into staged_ (encodes sender and dest)
+    std::size_t slot;     // staged key: sender * num_nodes + destination
     std::uint32_t to;     // final destination
     std::uint64_t bytes;  // sealed batch wire size
   };
@@ -292,14 +293,21 @@ class Runtime {
   [[nodiscard]] bool relay_hop(NodeId from, NodeId to, std::uint64_t bytes,
                                std::size_t segments);
 
-  /// One aggregation slot per (sender, destination) pair, reused every
-  /// barrier (writer buffers keep their capacity across reset()).
+  /// One aggregation slot per (sender, destination) pair that has staged
+  /// anything, reused every barrier (its writer borrows a buffer from the
+  /// sender's arena per barrier).
   struct StagedBatch {
     FlushBatchWriter writer;
     std::vector<FlushDeliverFn> deliver;  // one per staged record
     bool reliable = false;                // any reliable record upgrades all
     bool delivered = false;               // transient, set while sealing
   };
+  /// The slot of staged key `key` (sender * num_nodes + destination); it
+  /// must exist.
+  [[nodiscard]] StagedBatch& staged_slot(std::size_t key) {
+    const std::size_t n = static_cast<std::size_t>(num_nodes());
+    return staged_[key / n].at(static_cast<std::uint32_t>(key % n));
+  }
 
   [[nodiscard]] std::size_t check(NodeId n) const {
     UPDSM_CHECK_MSG(n.value() < static_cast<std::uint32_t>(num_nodes()),
@@ -322,11 +330,14 @@ class Runtime {
   std::unique_ptr<TraceLog> trace_;
   std::vector<PageStats> page_stats_;
   EpochId epoch_{0};
-  std::vector<StagedBatch> staged_;  // [from * num_nodes + to]
-  /// Slot indices touched since the last seal: seal iterates (and sorts)
-  /// this instead of scanning all num_nodes^2 slots -- at 1024 nodes the
-  /// full scan would dominate every barrier. Staging is barrier/controller
-  /// context only, so plain vector appends are race-free.
+  /// [sender] -> destination -> slot; empty when aggregation is off. Sparse
+  /// so that memory follows the pairs that actually exchange flushes, not
+  /// num_nodes^2.
+  std::vector<std::unordered_map<std::uint32_t, StagedBatch>> staged_;
+  /// Staged keys touched since the last seal: seal sorts and iterates this
+  /// list, so it does work proportional to the staged batches only.
+  /// Staging is barrier/controller context only, so plain vector appends
+  /// are race-free.
   std::vector<std::size_t> staged_active_;
   std::vector<std::uint64_t> arrival_payload_;
   std::vector<std::uint64_t> release_payload_;

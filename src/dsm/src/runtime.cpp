@@ -61,7 +61,7 @@ Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
   }
   page_stats_.assign(num_pages, PageStats{});
   if (config.aggregate_flushes) {
-    staged_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    staged_.resize(static_cast<std::size_t>(n));
   }
   arrival_payload_.assign(static_cast<std::size_t>(n), 0);
   release_payload_.assign(static_cast<std::size_t>(n), 0);
@@ -294,16 +294,15 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
     }
     return;
   }
-  const std::size_t idx =
-      from.index() * static_cast<std::size_t>(num_nodes()) + to.index();
-  StagedBatch& slot = staged_[idx];
+  StagedBatch& slot = staged_[from.index()][to.value()];
   if (slot.writer.bytes().empty()) {
     // Borrow the backing buffer from the sender-owner's arena for the
     // lifetime of this barrier's batch; seal returns it. Retained batch
     // capacity is thus bounded by the arenas, not by n^2 live slots.
     slot.writer.adopt_buffer(arena_for_node(from).batch_buffers.take());
     slot.writer.begin(from);
-    staged_active_.push_back(idx);
+    staged_active_.push_back(
+        from.index() * static_cast<std::size_t>(num_nodes()) + to.index());
   }
   slot.writer.add(page, creator, epoch_, diff);
   slot.deliver.push_back(std::move(on_deliver));
@@ -338,13 +337,15 @@ void Runtime::seal_flush_batches() {
     for (; group_end < staged_active_.size() &&
            staged_active_[group_end] / n == sender;
          ++group_end) {
-      if (!staged_[staged_active_[group_end]].reliable) ++unreliable_targets;
+      if (!staged_slot(staged_active_[group_end]).reliable) {
+        ++unreliable_targets;
+      }
     }
     const bool relays = config_.relay_threshold > 0 &&
                         unreliable_targets > config_.relay_threshold;
     for (; group < group_end; ++group) {
       const std::size_t idx = staged_active_[group];
-      StagedBatch& slot = staged_[idx];
+      StagedBatch& slot = staged_slot(idx);
       const NodeId to{static_cast<std::uint32_t>(idx % n)};
       slot.writer.seal();
       const std::uint64_t bytes = slot.writer.bytes().size();
@@ -390,7 +391,7 @@ void Runtime::seal_flush_batches() {
   // protocols heal through the same per-record recovery as lost per-page
   // flushes (bar version-index invalidation, lmw lazy refetch).
   for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
+    StagedBatch& slot = staged_slot(idx);
     if (slot.delivered) {
       FlushBatchReader reader(slot.writer.bytes());
       UPDSM_CHECK(reader.header_ok());
@@ -429,7 +430,7 @@ void Runtime::disseminate(const std::vector<RelaySegment>& segs) {
     std::vector<std::size_t> onward;
     for (const std::size_t s : at[i]) {
       if (segs[s].to == i) {
-        staged_[segs[s].slot].delivered = true;
+        staged_slot(segs[s].slot).delivered = true;
       } else {
         onward.push_back(s);
       }
@@ -448,7 +449,7 @@ void Runtime::disseminate(const std::vector<RelaySegment>& segs) {
     }
   }
   for (const std::size_t s : at[0]) {
-    if (segs[s].to == 0) staged_[segs[s].slot].delivered = true;
+    if (segs[s].to == 0) staged_slot(segs[s].slot).delivered = true;
   }
   const auto in_subtree = [fanout](std::size_t t, std::size_t c) {
     while (t > c) t = (t - 1) / fanout;
@@ -473,7 +474,7 @@ void Runtime::disseminate(const std::vector<RelaySegment>& segs) {
       }
       for (const std::size_t s : down) {
         if (segs[s].to == c) {
-          staged_[segs[s].slot].delivered = true;
+          staged_slot(segs[s].slot).delivered = true;
         } else {
           at[c].push_back(s);
         }

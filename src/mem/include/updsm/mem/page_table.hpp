@@ -2,6 +2,12 @@
 // protection word. This stands in for the paper's per-node AIX address
 // space; "mprotect" in the simulation is a plain protection-word write whose
 // *cost* is charged by sim::OsModel at the call site in the DSM layer.
+//
+// The frames are one contiguous anonymous mapping per node, committed lazily
+// by the host kernel: a host page costs memory only once something writes
+// it, and a never-written page reads as zero. A node therefore pays for the
+// pages it touches, not for the whole segment, while frame() and segment()
+// stay plain pointer arithmetic over one range.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +24,12 @@ namespace updsm::mem {
 class PageTable {
  public:
   /// Creates a table of `num_pages` pages of `page_size` bytes each, all
-  /// zero-filled with Protect::None (nothing mapped yet).
+  /// reading zero with Protect::None (nothing mapped yet). Throws
+  /// UsageError if the host cannot reserve the segment.
   PageTable(std::uint32_t num_pages, std::uint32_t page_size);
+  ~PageTable();
+  PageTable(const PageTable&) = delete;
+  PageTable& operator=(const PageTable&) = delete;
 
   [[nodiscard]] std::uint32_t num_pages() const { return num_pages_; }
   [[nodiscard]] std::uint32_t page_size() const { return page_size_; }
@@ -37,20 +47,20 @@ class PageTable {
   /// Mutable view of one page's private frame.
   [[nodiscard]] std::span<std::byte> frame(PageId page) {
     const std::size_t i = check(page);
-    return {data_.data() + i * page_size_, page_size_};
+    return {data_ + i * page_size_, page_size_};
   }
   [[nodiscard]] std::span<const std::byte> frame(PageId page) const {
     const std::size_t i = check(page);
-    return {data_.data() + i * page_size_, page_size_};
+    return {data_ + i * page_size_, page_size_};
   }
 
   /// The whole private segment (used by checksum validation and by the
   /// privileged sequential baseline).
   [[nodiscard]] std::span<std::byte> segment() {
-    return {data_.data(), data_.size()};
+    return {data_, segment_bytes()};
   }
   [[nodiscard]] std::span<const std::byte> segment() const {
-    return {data_.data(), data_.size()};
+    return {data_, segment_bytes()};
   }
 
   [[nodiscard]] PageId page_of(GlobalAddr addr) const {
@@ -71,7 +81,7 @@ class PageTable {
   std::uint32_t num_pages_;
   std::uint32_t page_size_;
   std::vector<Protect> prot_;
-  std::vector<std::byte> data_;
+  std::byte* data_;  // segment_bytes() of anonymous mapping
 };
 
 }  // namespace updsm::mem

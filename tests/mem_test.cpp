@@ -2,6 +2,8 @@
 // heap, twin stores and diff stores.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "updsm/dsm/diff_store.hpp"
 #include "updsm/dsm/twin_store.hpp"
 #include "updsm/mem/page_table.hpp"
@@ -37,6 +39,41 @@ TEST(PageTableTest, FramesAreDisjointAndContiguous) {
   EXPECT_EQ(table.segment()[1024], std::byte{0xaa});
   EXPECT_EQ(table.frame(PageId{0})[0], std::byte{0});
   EXPECT_EQ(table.frame(PageId{2})[0], std::byte{0});
+}
+
+TEST(PageTableTest, WritingOnePageLeavesEveryOtherFrameZero) {
+  PageTable table(512, 4096);
+  for (std::byte& b : table.frame(PageId{300})) b = std::byte{0x5a};
+  const auto seg = table.segment();
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    const std::byte want = i / 4096 == 300 ? std::byte{0x5a} : std::byte{0};
+    ASSERT_EQ(seg[i], want) << "byte " << i;
+  }
+}
+
+TEST(PageTableTest, TablesHaveIndependentFrames) {
+  PageTable a(8, 1024);
+  PageTable b(8, 1024);
+  a.frame(PageId{3})[7] = std::byte{0x11};
+  b.frame(PageId{3})[7] = std::byte{0x22};
+  EXPECT_EQ(a.frame(PageId{3})[7], std::byte{0x11});
+  EXPECT_EQ(b.frame(PageId{3})[7], std::byte{0x22});
+  EXPECT_NE(a.segment().data(), b.segment().data());
+  for (const std::byte x : b.frame(PageId{2})) EXPECT_EQ(x, std::byte{0});
+}
+
+TEST(PageTableTest, UnreservableSegmentIsAUsageError) {
+  // 2^32 - 1 pages of 1 MiB is ~4.5 PB: no 47-bit address space holds it,
+  // so the reservation fails at once and commits nothing.
+  try {
+    PageTable table(4294967295u, 1u << 20);
+    FAIL() << "a 4.5 PB segment was reserved";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967295 pages"), std::string::npos) << what;
+    EXPECT_NE(what.find("1048576 B"), std::string::npos) << what;
+    EXPECT_NE(what.find("4503599626321920 bytes"), std::string::npos) << what;
+  }
 }
 
 TEST(PageTableTest, PageOfMapsAddresses) {
