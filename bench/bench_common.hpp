@@ -44,13 +44,13 @@ struct BenchOptions {
   /// Barrier-time flush aggregation (--no-aggregate disables). Checksums
   /// are bit-identical either way; messages and times differ by design.
   bool aggregate = true;
-  /// Tree-barrier fanout (--fanout=K; 0 = the flat master barrier).
+  /// Barrier-tree fanout (--fanout=K; 0 = the flat master barrier, the
+  /// star K = nodes).
   /// Checksums are bit-identical either way; barrier times differ.
   int fanout = 0;
-  /// Relayed flush dissemination (--relay-threshold=N; 0 = off) and its
-  /// tree fanout (--relay-fanout=K). Checksums are bit-identical.
+  /// Relayed flush dissemination (--relay-threshold=N; 0 = off).
+  /// Checksums are bit-identical.
   int relay_threshold = 0;
-  int relay_fanout = 4;
   /// Interconnect cost profile (--net-profile=sp2|rdma) plus free-form
   /// key=value overrides (--cost=K=V, repeatable). Stamped into every
   /// BENCH_*.json so numbers from different platforms never get compared
@@ -102,8 +102,6 @@ struct BenchOptions {
         opt.fanout = std::atoi(v);
       } else if (const char* v = value("--relay-threshold=")) {
         opt.relay_threshold = std::atoi(v);
-      } else if (const char* v = value("--relay-fanout=")) {
-        opt.relay_fanout = std::atoi(v);
       } else if (const char* v = value("--net-profile=")) {
         opt.net_profile = v;
       } else if (const char* v = value("--cost=")) {
@@ -117,7 +115,7 @@ struct BenchOptions {
         std::printf(
             "options: --nodes=N --scale=F --iters=N --warmup=N --jobs=N "
             "--gang=parallel|baton|async --workers=M --no-aggregate --fanout=K "
-            "--relay-threshold=N --relay-fanout=K --net-profile=sp2|rdma "
+            "--relay-threshold=N --net-profile=sp2|rdma "
             "--cost=K=V --adaptive-window=W --quick\n");
         std::exit(0);
       } else {
@@ -146,7 +144,6 @@ struct BenchOptions {
     cfg.aggregate_flushes = aggregate;
     cfg.barrier_fanout = fanout;
     cfg.relay_threshold = relay_threshold;
-    cfg.relay_fanout = relay_fanout;
     cfg.net_profile = net_profile;
     cfg.costs = sim::CostModel::from_profile(net_profile);
     sim::apply_cost_overrides(cfg.costs, cost_overrides);

@@ -140,6 +140,12 @@ class Cluster {
   /// waits on active nodes, so drained nodes can never stall the others.
   std::vector<std::uint8_t> async_active_;
 
+  // Barrier-tree scratch, sized once: the virtual time each node's arrival
+  // reaches its parent, and the metadata bytes its subtree ships (arrival
+  // phase, then reused by the release phase).
+  std::vector<sim::SimTime> arrive_done_;
+  std::vector<std::uint64_t> subtree_payload_;
+
   std::unique_ptr<RaceDetector> race_detector_;  // null when Off
   std::vector<RaceReport> race_reports_;
 };

@@ -11,7 +11,6 @@
 #include "updsm/sim/cost_model.hpp"
 #include "updsm/sim/fault_plan.hpp"
 #include "updsm/sim/gang.hpp"
-#include "updsm/sim/time.hpp"
 
 namespace updsm::dsm {
 
@@ -21,19 +20,6 @@ namespace updsm::dsm {
 enum class OverdriveFallback {
   Strict,  // throw ProtocolError (the paper's prototype behaviour)
   Revert,  // handle the fault like bar-u and keep going
-};
-
-/// Retry parameters for the reliable channel under fault injection.
-/// Request/reply exchanges and reliable one-way messages (sync, control,
-/// diff-to-home flushes) that the FaultPlan drops are retransmitted after a
-/// timeout with bounded exponential backoff; the sender is charged the full
-/// timeout as Wait time for every lost attempt. Exhausting max_attempts
-/// throws ProtocolError (only reachable with drop probabilities near 1).
-struct RetryPolicy {
-  sim::SimTime timeout = sim::usec(2000);
-  double backoff = 2.0;
-  sim::SimTime max_timeout = sim::usec(16000);
-  int max_attempts = 25;
 };
 
 struct ClusterConfig {
@@ -72,26 +58,24 @@ struct ClusterConfig {
   bool aggregate_flushes = true;
 
   // --- large-cluster topology ---------------------------------------------
-  /// Barrier topology: 0 = the paper's flat master barrier (every slave
-  /// messages node 0 directly); k >= 2 = a k-ary reduction/broadcast tree
-  /// in heap layout (children of i are k*i+1 .. k*i+k), charging
-  /// barrier_master_per_node per tree hop instead of N times on the master.
-  /// Results are bit-identical to flat -- only simulated times and the
-  /// per-pair message census differ; a conformance test pins it.
-  /// `--fanout` on the tools.
+  /// Barrier topology: the barrier is a k-ary reduction/broadcast tree in
+  /// heap layout (children of i are k*i+1 .. k*i+k), charging
+  /// barrier_master_per_node per child absorbed. 0 = the paper's flat
+  /// master barrier, which is the star k = N (every slave messages node 0
+  /// directly); k >= 2 = that fanout. Results are bit-identical for every
+  /// k -- only simulated times and the per-pair message census differ; a
+  /// conformance test pins it. `--fanout` on the tools.
   int barrier_fanout = 0;
   /// Relayed multicast flush dissemination: when a producer's sealed
   /// unreliable FlushBatches for one barrier target more than this many
   /// distinct destinations, they travel as one FlushRelay message up/down a
-  /// deterministic relay_fanout-ary dissemination tree (intermediate nodes
+  /// deterministic 4-ary dissemination tree (intermediate nodes
   /// forward the zero-copy wire bytes unmodified) instead of N unicasts.
   /// 0 disables relaying. Reliable batches (diffs to home) always stay
   /// unicast. Results are bit-identical either way; a dropped relay loses
   /// the whole subtree and heals through the usual recovery.
   /// `--relay-threshold` on the tools.
   int relay_threshold = 0;
-  /// Fan-out of the dissemination tree used for relayed flushes (>= 2).
-  int relay_fanout = 4;
 
   // --- fault injection ----------------------------------------------------
   /// Adversarial transport behaviour (see sim/fault_plan.hpp). Empty = the
@@ -101,8 +85,6 @@ struct ClusterConfig {
   /// fault schedule can be varied while the run's other stochastic inputs
   /// stay fixed.
   std::uint64_t fault_seed = 0;
-  /// Reliable-channel retry behaviour when `faults` is non-empty.
-  RetryPolicy retry;
 
   // --- home-based protocol options (bar-*) -------------------------------
   /// Runtime home migration after the first iteration (§2.2.1, third
@@ -139,24 +121,11 @@ struct ClusterConfig {
   /// always-fresh reads (refetch on any newer version); larger values trade
   /// refresh traffic for staler reads. `--staleness` on the tools.
   int staleness_bound = 4;
-  /// Convergence window for the async residual detector: a node counts as
-  /// settled after this many consecutive published residuals at or under
-  /// the app's tolerance; the run converges when every node is settled
-  /// (sticky -- see protocols/convergence.hpp).
-  int async_convergence_window = 3;
   /// Residual tolerance the async detector settles against. Apps use the
   /// same value to pick their own drain criterion, so sync and async runs
   /// of a workload converge to the same residual. `--tolerance` on the
   /// tools.
   double async_tolerance = 1e-6;
-  /// Bounded-asynchrony throttle: a node more than this many async steps
-  /// ahead of the slowest node still iterating blocks (accruing Wait time)
-  /// until the straggler catches up. Under lossy fault plans retry
-  /// timeouts can skew per-sweep costs 25:1; without a bound the fast node
-  /// burns its whole drain backstop before stragglers settle and its stale
-  /// final residual can poison convergence detection. 0 disables the
-  /// throttle (unbounded run-ahead).
-  int async_max_lead = 64;
 
   // --- debugging tools ----------------------------------------------------
   /// Byte-granularity data-race detection (paper §5.2's companion tool):
@@ -192,10 +161,6 @@ inline void validate_cluster_config(const ClusterConfig& config) {
         "barrier_fanout must be 0 (flat) or >= 2 (k-ary tree), got " +
         std::to_string(config.barrier_fanout));
   }
-  if (config.relay_fanout < 2) {
-    throw UsageError("relay_fanout must be >= 2, got " +
-                     std::to_string(config.relay_fanout));
-  }
   if (config.relay_threshold < 0) {
     throw UsageError("relay_threshold must be >= 0 (0 = off), got " +
                      std::to_string(config.relay_threshold));
@@ -211,14 +176,6 @@ inline void validate_cluster_config(const ClusterConfig& config) {
   if (config.staleness_bound < 0) {
     throw UsageError("staleness_bound must be >= 0 (0 = always fresh), got " +
                      std::to_string(config.staleness_bound));
-  }
-  if (config.async_convergence_window < 1) {
-    throw UsageError("async_convergence_window must be >= 1, got " +
-                     std::to_string(config.async_convergence_window));
-  }
-  if (config.async_max_lead < 0) {
-    throw UsageError("async_max_lead must be >= 0 (0 = unbounded), got " +
-                     std::to_string(config.async_max_lead));
   }
   if (!(config.async_tolerance > 0.0)) {
     throw UsageError("async_tolerance must be > 0, got " +

@@ -184,7 +184,7 @@ class Runtime {
   ///
   /// With config.relay_threshold > 0, a sender whose unreliable batches
   /// target more than relay_threshold distinct destinations ships them as
-  /// segments of FlushRelay messages along a relay_fanout-ary dissemination
+  /// segments of FlushRelay messages along a 4-ary dissemination
   /// tree (heap layout rooted at node 0): one combined message per tree
   /// edge instead of one unicast per destination. Intermediate nodes
   /// forward the sealed wire bytes unmodified; a dropped hop loses every
@@ -199,7 +199,7 @@ class Runtime {
   /// pays one send trap per attempt. With no fault plan this is exactly
   /// record + send_trap + count_send. Under faults, drops cost the sender a
   /// full timeout of Wait and a retransmission (bounded exponential backoff
-  /// per ClusterConfig::retry); injected duplicates charge the receiver one
+  /// per the retry constants in runtime.cpp); injected duplicates charge the receiver one
   /// suppressed recv trap. Returns the wire latency of the copy that
   /// actually arrived (including any injected extra delay). Receiver-side
   /// delivery accounting stays with the caller.
@@ -256,7 +256,7 @@ class Runtime {
  private:
   /// Charges `sender` the current retransmission timeout (Wait), grows it
   /// (bounded exponential backoff) and counts/traces the retry. Throws
-  /// ProtocolError once `attempt` reaches the retry policy's max_attempts.
+  /// ProtocolError once `attempt` reaches kRetryMaxAttempts.
   void retry_wait(NodeId sender, sim::MsgKind kind, NodeId to, int attempt,
                   sim::SimTime& timeout);
   /// Accounts one suppressed duplicate delivery at `to` (the copy is

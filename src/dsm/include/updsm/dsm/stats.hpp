@@ -108,7 +108,7 @@ struct ProtocolCounters {
   /// Cached copies invalidated by async-i publishes.
   Cell async_invalidations = 0;
   /// Times a node blocked on the bounded-asynchrony throttle
-  /// (ClusterConfig::async_max_lead) waiting for a straggler to catch up.
+  /// (kAsyncMaxLead in cluster.cpp) waiting for a straggler to catch up.
   Cell async_throttles = 0;
 };
 

@@ -16,6 +16,14 @@ using sim::TimeCat;
 /// Wire footprint of one reduction contribution / result (op + double).
 constexpr std::uint64_t kReduceWireBytes = 16;
 
+/// Bounded-asynchrony throttle: a node more than this many async steps
+/// ahead of the slowest node still iterating blocks (accruing Wait time)
+/// until the straggler catches up. Under lossy fault plans retry timeouts
+/// can skew per-sweep costs 25:1; without a bound the fast node burns its
+/// whole drain backstop before stragglers settle and its stale final
+/// residual can poison convergence detection.
+constexpr std::uint64_t kAsyncMaxLead = 64;
+
 /// Parallel scheduling is opt-in per protocol: anything whose fault
 /// handlers mutate remote state mid-phase (sc-sw) keeps the baton. The
 /// async gang cannot be silently downgraded (the app's iteration structure
@@ -31,6 +39,19 @@ sim::GangMode effective_gang_mode(const ClusterConfig& config,
     return sim::GangMode::Baton;
   }
   return config.gang;
+}
+
+/// True when every node asked for `what` before this barrier, false when
+/// none did; a partial request is a usage error. Clears the requests.
+bool take_collective_request(std::vector<std::uint8_t>& requested,
+                             const char* what) {
+  const auto asked = [](std::uint8_t b) { return b != 0; };
+  if (std::none_of(requested.begin(), requested.end(), asked)) return false;
+  UPDSM_REQUIRE(std::all_of(requested.begin(), requested.end(), asked),
+                what << " must be collective: some nodes did not request "
+                        "it before this barrier");
+  std::fill(requested.begin(), requested.end(), std::uint8_t{0});
+  return true;
 }
 }  // namespace
 
@@ -55,6 +76,8 @@ Cluster::Cluster(const ClusterConfig& config, const mem::SharedHeap& heap,
   iteration_count_.assign(n, 0);
   async_step_count_.assign(n, 0);
   async_active_.assign(n, 0);
+  arrive_done_.assign(n, 0);
+  subtree_payload_.assign(n, 0);
   // Async scheduling is ordered by the nodes' virtual clocks; clocks only
   // advance while their node holds the turn, so the lookup is race-free.
   gang_.set_clock_source([this](int node) {
@@ -138,14 +161,13 @@ bool Cluster::node_async_step(NodeId n, double residual) {
   // Bounded asynchrony: under lossy fault plans retry timeouts can skew
   // per-sweep virtual costs by orders of magnitude, letting a cheap node
   // burn its entire drain backstop while a straggler is still settling. A
-  // node more than async_max_lead steps ahead of the slowest node still
+  // node more than kAsyncMaxLead steps ahead of the slowest node still
   // iterating blocks here -- its clock advances in Wait past the
   // straggler's so the scheduler hands the turn over -- until the gap
   // closes. Only ACTIVE nodes count: a drained node can never stall the
   // rest. Deterministic: the wait target is a pure function of the
   // virtual clocks and step counts.
-  const int max_lead = rt_.config().async_max_lead;
-  while (max_lead > 0) {
+  for (;;) {
     std::uint64_t slowest_steps = async_step_count_[n.index()];
     NodeId slowest = n;
     for (std::size_t i = 0; i < async_active_.size(); ++i) {
@@ -155,9 +177,8 @@ bool Cluster::node_async_step(NodeId n, double residual) {
         slowest = NodeId{static_cast<std::uint32_t>(i)};
       }
     }
-    if (slowest == n || async_step_count_[n.index()] <=
-                            slowest_steps + static_cast<std::uint64_t>(
-                                                max_lead)) {
+    if (slowest == n ||
+        async_step_count_[n.index()] <= slowest_steps + kAsyncMaxLead) {
       break;
     }
     const SimTime target = rt_.clock(slowest).now() + 1;
@@ -256,7 +277,6 @@ std::byte* Cluster::node_touch(NodeId n, GlobalAddr addr, std::size_t len,
 }
 
 void Cluster::do_barrier(std::uint64_t index) {
-  (void)index;
   // Merge the finished phase's buffered trace lines (node order) before any
   // barrier-time event is emitted.
   if (auto* trace = rt_.trace()) trace->flush_node_buffers();
@@ -271,7 +291,6 @@ void Cluster::do_barrier(std::uint64_t index) {
     }
   }
   const int n = rt_.num_nodes();
-  const NodeId master = rt_.master();
   const auto& net_costs = rt_.costs().net;
 
   // Replay of mid-phase deferred work (per-node logs), in node order.
@@ -299,25 +318,31 @@ void Cluster::do_barrier(std::uint64_t index) {
                                        << " nodes at one barrier");
   const bool reducing = reducers == n;
 
-  const int fanout = rt_.config().barrier_fanout;
-  if (fanout >= 2) {
-    // Tree barrier: k-ary reduction tree in heap layout (children of i are
-    // k*i+1 .. k*i+k; the master is the root). Arrivals combine bottom-up:
-    // each inner node waits for its children, absorbs their recv traps,
-    // pays the per-hop combining cost, and forwards one message carrying
-    // its whole subtree's metadata to its parent. The master's per-barrier
-    // critical path drops from O(N) to O(k log_k N); the total message
-    // count (N-1 arrivals) is unchanged, only the (from, to) pairs differ.
-    std::vector<SimTime> arrive_done(static_cast<std::size_t>(n), 0);
-    std::vector<std::uint64_t> up_payload(static_cast<std::size_t>(n), 0);
-    for (int i = n - 1; i >= 0; --i) {
+  // Phase B: arrivals combine up a k-ary tree in heap layout (children of i
+  // are k*i+1 .. k*i+k; the master is the root). barrier_fanout 0 is the
+  // paper's flat master barrier, i.e. the star k = n: every slave is a child
+  // of the master. Levels are visited deepest first and in node order
+  // within a level, so the star keeps the flat barrier's order (slaves,
+  // then master). Each node waits for its children's arrivals, absorbs their
+  // recv traps, pays barrier_master_per_node per child (the root also for
+  // itself), and forwards one message carrying its subtree's metadata to
+  // its parent. The census is N-1 arrivals for every k; only the (from, to)
+  // pairs and the master's critical path (O(k log_k N)) change.
+  const int fanout = rt_.config().barrier_fanout >= 2
+                         ? rt_.config().barrier_fanout
+                         : n;
+  long long level = 0;  // first node of the deepest level
+  while (level * fanout + 1 < n) level = level * fanout + 1;
+  for (long long end = n;; end = level, level = (level - 1) / fanout) {
+    for (int i = static_cast<int>(level); i < end; ++i) {
       const NodeId node{static_cast<std::uint32_t>(i)};
-      up_payload[static_cast<std::size_t>(i)] += rt_.take_arrival_payload(node);
+      std::uint64_t payload = rt_.take_arrival_payload(node);
+      SimTime latest = rt_.clock(node).now();
       const long long first_child = static_cast<long long>(fanout) * i + 1;
       int children = 0;
-      SimTime latest = rt_.clock(node).now();
       for (long long c = first_child; c < first_child + fanout && c < n; ++c) {
-        latest = std::max(latest, arrive_done[static_cast<std::size_t>(c)]);
+        latest = std::max(latest, arrive_done_[static_cast<std::size_t>(c)]);
+        payload += subtree_payload_[static_cast<std::size_t>(c)];
         ++children;
       }
       if (children > 0) {
@@ -327,48 +352,20 @@ void Cluster::do_barrier(std::uint64_t index) {
           rt_.os(node).count_recv();
         }
       }
-      // Combining cost: one barrier_master_per_node per arriving child (the
-      // root also pays for itself, exactly as the flat master does).
       const int combines = children + (i == 0 ? 1 : 0);
       if (combines > 0) {
         rt_.charge_dsm(node, rt_.costs().dsm.barrier_master_per_node *
                                  static_cast<SimTime>(combines));
       }
       if (i == 0) continue;  // the root's metadata stays local
-      const int parent = (i - 1) / fanout;
-      std::uint64_t payload = up_payload[static_cast<std::size_t>(i)];
+      subtree_payload_[static_cast<std::size_t>(i)] = payload;
       if (reducing) payload += kReduceWireBytes;
       const SimTime wire = rt_.reliable_send(
-          MsgKind::SyncArrive, node, NodeId{static_cast<std::uint32_t>(parent)},
-          payload);
-      arrive_done[static_cast<std::size_t>(i)] = rt_.clock(node).now() + wire;
-      up_payload[static_cast<std::size_t>(parent)] +=
-          up_payload[static_cast<std::size_t>(i)];
+          MsgKind::SyncArrive, node,
+          NodeId{static_cast<std::uint32_t>((i - 1) / fanout)}, payload);
+      arrive_done_[static_cast<std::size_t>(i)] = rt_.clock(node).now() + wire;
     }
-  } else {
-    // Arrival messages: slaves -> master, carrying protocol metadata and any
-    // reduction contribution.
-    SimTime latest_arrival = rt_.clock(master).now();
-    for (int i = 0; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      std::uint64_t payload = rt_.take_arrival_payload(node);
-      if (node == master) continue;  // master's metadata stays local
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncArrive, node, master, payload);
-      latest_arrival =
-          std::max(latest_arrival, rt_.clock(node).now() + wire);
-    }
-
-    // Master waits for the last arrival, absorbs the recv traps, then runs
-    // per-node bookkeeping and the protocol's global phase.
-    rt_.clock(master).advance_to(TimeCat::Wait, latest_arrival);
-    for (int i = 1; i < n; ++i) {
-      rt_.clock(master).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(master).count_recv();
-    }
-    rt_.charge_dsm(master, rt_.costs().dsm.barrier_master_per_node *
-                               static_cast<SimTime>(n));
+    if (level == 0) break;
   }
 
   if (reducing) {
@@ -401,54 +398,32 @@ void Cluster::do_barrier(std::uint64_t index) {
 
   protocol_->barrier_master();
 
-  // Phase C: releases. The master first sends every release message (its
-  // own local release work must not delay the slaves), then each node
+  // Phase C: releases go down the same tree, parents before children (heap
+  // layout: parent(i) < i, so a parent's clock is settled before it sends;
+  // in the star the master sends every release first). Each node receives
+  // its subtree's release metadata from its parent. Then every node
   // performs its release-side protocol work (invalidations, update
   // application, trap re-arming) concurrently on its own clock.
-  if (fanout >= 2) {
-    // Broadcast down the same tree: each node receives its subtree's
-    // release metadata from its parent and forwards the rest to its
-    // children. Heap layout makes i = 1..n-1 a valid top-down order
-    // (parent(i) < i, so a parent's clock is settled before it sends).
-    std::vector<std::uint64_t> down_payload(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
-      down_payload[static_cast<std::size_t>(i)] =
-          rt_.take_release_payload(NodeId{static_cast<std::uint32_t>(i)});
-    }
-    // down_payload[i] becomes the subtree sum; the root's own metadata
-    // stays local (index 0 is accumulated but never shipped).
-    for (int i = n - 1; i >= 1; --i) {
-      down_payload[static_cast<std::size_t>((i - 1) / fanout)] +=
-          down_payload[static_cast<std::size_t>(i)];
-    }
-    for (int i = 1; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      const NodeId parent{static_cast<std::uint32_t>((i - 1) / fanout)};
-      std::uint64_t payload = down_payload[static_cast<std::size_t>(i)];
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncRelease, parent, node, payload);
-      rt_.clock(node).advance_to(TimeCat::Wait,
-                                 rt_.clock(parent).now() + wire);
-      rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(node).count_recv();
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      if (node == master) {
-        (void)rt_.take_release_payload(node);
-        continue;
-      }
-      std::uint64_t payload = rt_.take_release_payload(node);
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncRelease, master, node, payload);
-      rt_.clock(node).advance_to(TimeCat::Wait,
-                                 rt_.clock(master).now() + wire);
-      rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(node).count_recv();
-    }
+  for (int i = 0; i < n; ++i) {
+    subtree_payload_[static_cast<std::size_t>(i)] =
+        rt_.take_release_payload(NodeId{static_cast<std::uint32_t>(i)});
+  }
+  // subtree_payload_[i] becomes the subtree sum; the root's own metadata
+  // stays local (index 0 is accumulated but never shipped).
+  for (int i = n - 1; i >= 1; --i) {
+    subtree_payload_[static_cast<std::size_t>((i - 1) / fanout)] +=
+        subtree_payload_[static_cast<std::size_t>(i)];
+  }
+  for (int i = 1; i < n; ++i) {
+    const NodeId node{static_cast<std::uint32_t>(i)};
+    const NodeId parent{static_cast<std::uint32_t>((i - 1) / fanout)};
+    std::uint64_t payload = subtree_payload_[static_cast<std::size_t>(i)];
+    if (reducing) payload += kReduceWireBytes;
+    const SimTime wire =
+        rt_.reliable_send(MsgKind::SyncRelease, parent, node, payload);
+    rt_.clock(node).advance_to(TimeCat::Wait, rt_.clock(parent).now() + wire);
+    rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
+    rt_.os(node).count_recv();
   }
   for (int i = 0; i < n; ++i) {
     protocol_->barrier_release(NodeId{static_cast<std::uint32_t>(i)});
@@ -482,33 +457,12 @@ void Cluster::do_barrier(std::uint64_t index) {
 
   // Measurement window: engaged at the barrier where every node asked for
   // it, *after* the barrier itself, so warm-up barrier costs are excluded.
-  const bool any = std::any_of(measurement_requested_.begin(),
-                               measurement_requested_.end(),
-                               [](bool b) { return b; });
-  if (any) {
-    const bool all = std::all_of(measurement_requested_.begin(),
-                                 measurement_requested_.end(),
-                                 [](bool b) { return b; });
-    UPDSM_REQUIRE(all, "begin_measurement must be collective: some nodes "
-                       "did not request it before this barrier");
+  if (take_collective_request(measurement_requested_, "begin_measurement")) {
     UPDSM_REQUIRE(!rt_.measuring(), "begin_measurement requested twice");
     rt_.begin_measurement();
-    std::fill(measurement_requested_.begin(), measurement_requested_.end(),
-              false);
   }
-
-  const bool any_end = std::any_of(measurement_end_requested_.begin(),
-                                   measurement_end_requested_.end(),
-                                   [](bool b) { return b; });
-  if (any_end) {
-    const bool all = std::all_of(measurement_end_requested_.begin(),
-                                 measurement_end_requested_.end(),
-                                 [](bool b) { return b; });
-    UPDSM_REQUIRE(all, "end_measurement must be collective: some nodes did "
-                       "not request it before this barrier");
+  if (take_collective_request(measurement_end_requested_, "end_measurement")) {
     rt_.end_measurement();
-    std::fill(measurement_end_requested_.begin(),
-              measurement_end_requested_.end(), false);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "updsm/common/log.hpp"
+#include "updsm/sim/time.hpp"
 
 namespace updsm::dsm {
 
@@ -15,6 +16,20 @@ using sim::TimeCat;
 /// Wire overhead per batch carried inside a FlushRelay message: original
 /// sender, final destination, offset and length of the segment's bytes.
 constexpr std::uint64_t kRelaySegmentHeaderBytes = 16;
+
+/// Fan-out of the dissemination tree relayed flushes travel along.
+constexpr std::size_t kRelayFanout = 4;
+
+/// Reliable-channel retries under fault injection: request/reply exchanges
+/// and reliable one-way messages (sync, control, diff-to-home flushes) that
+/// the FaultPlan drops are retransmitted after a timeout with bounded
+/// exponential backoff; the sender is charged the full timeout as Wait time
+/// for every lost attempt. Exhausting kRetryMaxAttempts throws
+/// ProtocolError (only reachable with drop probabilities near 1).
+constexpr SimTime kRetryTimeout = sim::usec(2000);
+constexpr double kRetryBackoff = 2.0;
+constexpr SimTime kRetryMaxTimeout = sim::usec(16000);
+constexpr int kRetryMaxAttempts = 25;
 
 /// "nF>nT": the sender/receiver field of every message trace line.
 std::string edge(NodeId from, NodeId to) {
@@ -98,17 +113,15 @@ void Runtime::charge_dsm(NodeId n, SimTime fixed, double per_byte_ns,
 
 void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to, int attempt,
                          SimTime& timeout) {
-  if (attempt >= config_.retry.max_attempts) {
+  if (attempt >= kRetryMaxAttempts) {
     throw ProtocolError("reliable " + std::string(sim::to_string(kind)) + " " +
                         edge(sender, to) + " exhausted " +
-                        std::to_string(config_.retry.max_attempts) +
-                        " attempts");
+                        std::to_string(kRetryMaxAttempts) + " attempts");
   }
   clock(sender).advance(TimeCat::Wait, timeout);
   timeout = std::min(
-      static_cast<SimTime>(static_cast<double>(timeout) *
-                           config_.retry.backoff),
-      config_.retry.max_timeout);
+      static_cast<SimTime>(static_cast<double>(timeout) * kRetryBackoff),
+      kRetryMaxTimeout);
   ++counters_.reliable_retries;
   if (trace_) {
     trace_->emit("retry " + std::string(sim::to_string(kind)) + " " +
@@ -168,8 +181,7 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
   // is recognized (dedup) and re-answered without redoing the work, so the
   // exchange's effect on protocol state happens exactly once no matter how
   // many copies flew.
-  const RetryPolicy& rp = config_.retry;
-  SimTime timeout = rp.timeout;
+  SimTime timeout = kRetryTimeout;
   bool served = false;  // responder_work already performed
   for (int attempt = 1;; ++attempt) {
     const SimTime req_wire = net_.record(req_kind, requester, responder,
@@ -413,7 +425,7 @@ void Runtime::seal_flush_batches() {
 
 void Runtime::disseminate(const std::vector<RelaySegment>& segs) {
   const std::size_t n = static_cast<std::size_t>(num_nodes());
-  const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
+  const std::size_t fanout = kRelayFanout;
   // The shared dissemination tree: heap layout rooted at node 0, children
   // of i are fanout*i+1 .. fanout*i+fanout. Up phase, children before
   // parents: each node combines its own batches with its children's
@@ -511,8 +523,7 @@ SimTime Runtime::reliable_send(MsgKind kind, NodeId from, NodeId to,
                                std::uint64_t bytes) {
   if (from == to) return 0;
   const auto& net_costs = costs().net;
-  const RetryPolicy& rp = config_.retry;
-  SimTime timeout = rp.timeout;
+  SimTime timeout = kRetryTimeout;
   for (int attempt = 1;; ++attempt) {
     const SimTime wire = net_.record(kind, from, to, bytes);
     clock(from).advance(TimeCat::Os, net_costs.send_trap);

@@ -134,7 +134,7 @@ TEST_P(DropRateTest, UpdateProtocolsSurviveAnyLossRate) {
     // The plan drops flush-class messages whether or not they are reliable.
     // lmw-u's batches are all unreliable update pushes, so it takes any
     // rate. bar-u's diff-to-home flushes share its batches and give up
-    // after RetryPolicy::max_attempts (25) straight losses, so its rate is
+    // after kRetryMaxAttempts (25) straight losses, so its rate is
     // capped at 0.5, where that reliable channel gets through.
     const double rate =
         kind == ProtocolKind::BarU ? std::min(GetParam(), 0.5) : GetParam();

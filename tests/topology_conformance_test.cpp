@@ -222,19 +222,20 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
   EXPECT_LT(rel.net.flush_class_messages(), uni.net.flush_class_messages());
 }
 
-/// One traced run, keeping everything it exposes: the trace, and the
-/// measured counters and network statistics.
+/// One traced run, keeping everything it exposes: the trace, the per-node
+/// breakdown, and the measured counters and network statistics.
 struct TracedRun {
   double checksum = 0.0;
   sim::SimTime elapsed = 0;
   std::uint64_t barriers = 0;
+  dsm::BreakdownReport breakdown;
   dsm::ProtocolCounters counters;
   sim::NetworkStats net;
   std::vector<std::string> trace;
 };
 
 TracedRun run_traced(const char* app_name, ProtocolKind kind, GangMode gang,
-                     int relay_threshold, const std::string& plan) {
+                     Topology topo, const std::string& plan) {
   apps::AppParams params;
   params.scale = 0.1;
   params.warmup_iterations = 2;
@@ -242,7 +243,8 @@ TracedRun run_traced(const char* app_name, ProtocolKind kind, GangMode gang,
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.gang = gang;
-  cfg.relay_threshold = relay_threshold;
+  cfg.barrier_fanout = topo.barrier_fanout;
+  cfg.relay_threshold = topo.relay_threshold;
   cfg.trace = true;
   if (!plan.empty()) {
     cfg.faults = sim::FaultSpec::parse(plan);
@@ -257,6 +259,7 @@ TracedRun run_traced(const char* app_name, ProtocolKind kind, GangMode gang,
   run.checksum = app->result_checksum();
   run.elapsed = cluster.elapsed();
   run.barriers = cluster.barriers();
+  run.breakdown = cluster.breakdown();
   run.counters = cluster.runtime().measured_counters();
   run.net = cluster.runtime().measured_net_stats();
   run.trace = cluster.runtime().trace()->lines();
@@ -283,12 +286,12 @@ TEST(TopologyConformanceTest, UnreachableRelayThresholdMatchesRelayOff) {
   };
   for (const Case& c : cases) {
     for (const std::string plan : {"", "drop=0.08,dup=0.05,delay=0.05"}) {
-      const TracedRun off = run_traced(c.app, c.kind, c.gang, 0, plan);
+      const TracedRun off = run_traced(c.app, c.kind, c.gang, {0, 0}, plan);
       ASSERT_NE(off.checksum, 0.0) << c.app;
       ASSERT_GT(off.counters.flush_batches.load(), 0u) << c.app;
       for (const int threshold : {7, 8}) {
         const TracedRun high =
-            run_traced(c.app, c.kind, c.gang, threshold, plan);
+            run_traced(c.app, c.kind, c.gang, {0, threshold}, plan);
         const std::string ctx = std::string(c.app) + " under " +
                                 protocols::to_string(c.kind) + " threshold " +
                                 std::to_string(threshold) + " plan [" + plan +
@@ -300,6 +303,68 @@ TEST(TopologyConformanceTest, UnreachableRelayThresholdMatchesRelayOff) {
                                               ctx);
         testing_support::expect_same_net(high.net, off.net, ctx);
         EXPECT_EQ(high.trace, off.trace) << ctx;
+      }
+    }
+  }
+}
+
+// One barrier path: the flat master barrier (fanout 0) is the star tree,
+// so a fanout that makes every slave a child of the master (n - 1 is the
+// smallest such fanout, n is above it) must be indistinguishable from it --
+// same result, same virtual time, every node's breakdown, every counter,
+// every network statistic and the trace line for line -- fault-free and
+// under a seeded plan that drops and duplicates sync messages.
+TEST(TopologyConformanceTest, StarFanoutMatchesFlatBarrier) {
+  struct Case {
+    const char* app;
+    ProtocolKind kind;
+    GangMode gang;
+  };
+  const std::vector<Case> cases{
+      {"jacobi", ProtocolKind::BarU, GangMode::Parallel},
+      {"jacobi", ProtocolKind::LmwU, GangMode::Parallel},
+      {"jacobi-async", ProtocolKind::AsyncU, GangMode::Async},
+  };
+  const std::string sync_loss =
+      "kind=sync-arrive,drop=0.15,dup=0.1;kind=sync-release,drop=0.15,"
+      "dup=0.1;drop=0.03";
+  for (const Case& c : cases) {
+    for (const std::string& plan : {std::string(), sync_loss}) {
+      const TracedRun flat = run_traced(c.app, c.kind, c.gang, {0, 0}, plan);
+      ASSERT_NE(flat.checksum, 0.0) << c.app;
+      ASSERT_GT(flat.barriers, 0u) << c.app;
+      if (!plan.empty()) {
+        ASSERT_GT(flat.net.of(MsgKind::SyncArrive).dropped +
+                      flat.net.of(MsgKind::SyncRelease).dropped,
+                  0u)
+            << c.app;
+      }
+      for (const int fanout : {7, 8}) {
+        const TracedRun star =
+            run_traced(c.app, c.kind, c.gang, {fanout, 0}, plan);
+        const std::string ctx = std::string(c.app) + " under " +
+                                protocols::to_string(c.kind) + " fanout " +
+                                std::to_string(fanout) + " plan [" + plan +
+                                "]";
+        EXPECT_EQ(star.checksum, flat.checksum) << ctx;
+        EXPECT_EQ(star.elapsed, flat.elapsed) << ctx;
+        EXPECT_EQ(star.barriers, flat.barriers) << ctx;
+        ASSERT_EQ(star.breakdown.nodes.size(), flat.breakdown.nodes.size())
+            << ctx;
+        for (std::size_t i = 0; i < flat.breakdown.nodes.size(); ++i) {
+          const auto& a = star.breakdown.nodes[i];
+          const auto& b = flat.breakdown.nodes[i];
+          const std::string at = ctx + " node " + std::to_string(i);
+          EXPECT_EQ(a.app, b.app) << at;
+          EXPECT_EQ(a.dsm, b.dsm) << at;
+          EXPECT_EQ(a.os, b.os) << at;
+          EXPECT_EQ(a.wait, b.wait) << at;
+          EXPECT_EQ(a.sigio, b.sigio) << at;
+        }
+        testing_support::expect_same_counters(star.counters, flat.counters,
+                                              ctx);
+        testing_support::expect_same_net(star.net, flat.net, ctx);
+        EXPECT_EQ(star.trace, flat.trace) << ctx;
       }
     }
   }

@@ -45,7 +45,6 @@ struct Options {
   bool aggregate = true;
   int fanout = 0;           // 0 = flat barrier
   int relay_threshold = 0;  // 0 = relay off
-  int relay_fanout = 4;
   bool breakdown = false;
   bool layout = false;
   int hot_pages = 0;
@@ -89,12 +88,12 @@ struct Options {
       "  --no-aggregate    send one flush per page instead of one\n"
       "                    aggregated batch per (sender, destination)\n"
       "                    pair per barrier (results are bit-identical)\n"
-      "  --fanout=K        k-ary tree barrier (0 = flat master barrier,\n"
-      "                    the default; results are bit-identical)\n"
+      "  --fanout=K        barrier tree fanout: k-ary tree for K >= 2; 0 =\n"
+      "                    the flat master barrier, the star K = N (the\n"
+      "                    default; results are bit-identical for every K)\n"
       "  --relay-threshold=N  relay a producer's update batches through a\n"
-      "                    dissemination tree when they target more than N\n"
+      "                    4-ary dissemination tree when they target more than N\n"
       "                    destinations (0 = off; results bit-identical)\n"
-      "  --relay-fanout=K  dissemination-tree fanout (default 4)\n"
       "  --gang=MODE       parallel|baton|async node scheduling (default\n"
       "                    parallel; parallel and baton are byte-identical;\n"
       "                    async drops the phase barrier and schedules the\n"
@@ -187,8 +186,6 @@ Options parse(int argc, char** argv) {
       opt.fanout = std::atoi(v);
     } else if (const char* v = value("--relay-threshold=")) {
       opt.relay_threshold = std::atoi(v);
-    } else if (const char* v = value("--relay-fanout=")) {
-      opt.relay_fanout = std::atoi(v);
     } else if (arg == "--no-migration") {
       opt.migration = false;
     } else if (arg == "--no-aggregate") {
@@ -224,7 +221,6 @@ dsm::ClusterConfig cluster_config(const Options& opt) {
   cfg.aggregate_flushes = opt.aggregate;
   cfg.barrier_fanout = opt.fanout;
   cfg.relay_threshold = opt.relay_threshold;
-  cfg.relay_fanout = opt.relay_fanout;
   // Profile first, then the per-key overrides on top of it.
   cfg.net_profile = opt.net_profile;
   cfg.costs = sim::CostModel::from_profile(opt.net_profile);
