@@ -408,11 +408,16 @@ void Cluster::do_barrier(std::uint64_t index) {
     subtree_payload_[static_cast<std::size_t>(i)] =
         rt_.take_release_payload(NodeId{static_cast<std::uint32_t>(i)});
   }
-  // subtree_payload_[i] becomes the subtree sum; the root's own metadata
-  // stays local (index 0 is accumulated but never shipped).
+  // Release metadata is a broadcast: bar-* hands every node the same change
+  // list, lmw-* each node the union minus its own notices. So each edge
+  // ships it once -- the largest payload in the child's subtree -- not one
+  // copy per descendant. Exact for bar-*, within one node's notices for
+  // lmw-*; in the star every subtree is a single leaf. The root's own
+  // metadata stays local (index 0 is folded but never shipped).
   for (int i = n - 1; i >= 1; --i) {
-    subtree_payload_[static_cast<std::size_t>((i - 1) / fanout)] +=
-        subtree_payload_[static_cast<std::size_t>(i)];
+    std::uint64_t& parent =
+        subtree_payload_[static_cast<std::size_t>((i - 1) / fanout)];
+    parent = std::max(parent, subtree_payload_[static_cast<std::size_t>(i)]);
   }
   for (int i = 1; i < n; ++i) {
     const NodeId node{static_cast<std::uint32_t>(i)};

@@ -436,6 +436,14 @@ TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
       EXPECT_EQ(tree.barriers, flat.barriers) << ctx;
       // At 64 nodes the O(n) master barrier dominates; the tree must win.
       EXPECT_LT(tree.elapsed, flat.elapsed) << ctx;
+      // Release metadata is a broadcast and each tree edge ships it once:
+      // bar-u hands every node the same change list, so the tree's release
+      // bytes equal the flat barrier's exactly.
+      if (kind == ProtocolKind::BarU) {
+        EXPECT_EQ(tree.net.of(MsgKind::SyncRelease).bytes,
+                  flat.net.of(MsgKind::SyncRelease).bytes)
+            << ctx;
+      }
       // ...and stay bit-exact under a fault plan in the full topology.
       const std::string plan = "drop=0.08,dup=0.03";
       const harness::RunResult faulty = run_one(
