@@ -352,11 +352,8 @@ void Cluster::do_barrier(std::uint64_t index) {
           rt_.os(node).count_recv();
         }
       }
-      const int combines = children + (i == 0 ? 1 : 0);
-      if (combines > 0) {
-        rt_.charge_dsm(node, rt_.costs().dsm.barrier_master_per_node *
-                                 static_cast<SimTime>(combines));
-      }
+      rt_.charge_dsm(node, rt_.costs().dsm.barrier_master_per_node *
+                               static_cast<SimTime>(children + (i == 0)));
       if (i == 0) continue;  // the root's metadata stays local
       subtree_payload_[static_cast<std::size_t>(i)] = payload;
       if (reducing) payload += kReduceWireBytes;

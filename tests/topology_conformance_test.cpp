@@ -266,13 +266,18 @@ TracedRun run_traced(const char* app_name, ProtocolKind kind, GangMode gang,
   return run;
 }
 
-// One seal path: a relay threshold no sender can exceed (n - 1 is the most
-// destinations a sender has; n is above every count) must be
-// indistinguishable from relaying switched off -- same result, same
-// virtual time, every counter, every network statistic and the trace line
-// for line -- fault-free and under a seeded plan, for barrier seals and
-// the async protocol's per-publish seals alike.
-TEST(TopologyConformanceTest, UnreachableRelayThresholdMatchesRelayOff) {
+// Degenerate topologies are the flat, unicast paths, so each must be
+// indistinguishable from them -- same result, same virtual time, every
+// node's breakdown, every counter, every network statistic and the trace
+// line for line -- fault-free, under a seeded plan, and under one that
+// drops and duplicates sync messages:
+//  - one seal path: a relay threshold no sender can exceed (n - 1 is the
+//    most destinations a sender has; n is above every count) is relaying
+//    switched off, for barrier seals and the async per-publish seals;
+//  - one barrier path: the flat master barrier (fanout 0) is the star
+//    tree, so a fanout that makes every slave a child of the master (n - 1
+//    is the smallest such fanout, n is above it) is the flat barrier.
+TEST(TopologyConformanceTest, DegenerateTopologiesMatchFlatUnicast) {
   struct Case {
     const char* app;
     ProtocolKind kind;
@@ -282,77 +287,39 @@ TEST(TopologyConformanceTest, UnreachableRelayThresholdMatchesRelayOff) {
       {"fft", ProtocolKind::BarU, GangMode::Parallel},
       {"fft", ProtocolKind::LmwU, GangMode::Parallel},
       {"jacobi", ProtocolKind::BarI, GangMode::Parallel},
-      {"jacobi-async", ProtocolKind::AsyncU, GangMode::Async},
-  };
-  for (const Case& c : cases) {
-    for (const std::string plan : {"", "drop=0.08,dup=0.05,delay=0.05"}) {
-      const TracedRun off = run_traced(c.app, c.kind, c.gang, {0, 0}, plan);
-      ASSERT_NE(off.checksum, 0.0) << c.app;
-      ASSERT_GT(off.counters.flush_batches.load(), 0u) << c.app;
-      for (const int threshold : {7, 8}) {
-        const TracedRun high =
-            run_traced(c.app, c.kind, c.gang, {0, threshold}, plan);
-        const std::string ctx = std::string(c.app) + " under " +
-                                protocols::to_string(c.kind) + " threshold " +
-                                std::to_string(threshold) + " plan [" + plan +
-                                "]";
-        EXPECT_EQ(high.checksum, off.checksum) << ctx;
-        EXPECT_EQ(high.elapsed, off.elapsed) << ctx;
-        EXPECT_EQ(high.barriers, off.barriers) << ctx;
-        testing_support::expect_same_counters(high.counters, off.counters,
-                                              ctx);
-        testing_support::expect_same_net(high.net, off.net, ctx);
-        EXPECT_EQ(high.trace, off.trace) << ctx;
-      }
-    }
-  }
-}
-
-// One barrier path: the flat master barrier (fanout 0) is the star tree,
-// so a fanout that makes every slave a child of the master (n - 1 is the
-// smallest such fanout, n is above it) must be indistinguishable from it --
-// same result, same virtual time, every node's breakdown, every counter,
-// every network statistic and the trace line for line -- fault-free and
-// under a seeded plan that drops and duplicates sync messages.
-TEST(TopologyConformanceTest, StarFanoutMatchesFlatBarrier) {
-  struct Case {
-    const char* app;
-    ProtocolKind kind;
-    GangMode gang;
-  };
-  const std::vector<Case> cases{
       {"jacobi", ProtocolKind::BarU, GangMode::Parallel},
       {"jacobi", ProtocolKind::LmwU, GangMode::Parallel},
       {"jacobi-async", ProtocolKind::AsyncU, GangMode::Async},
   };
-  const std::string sync_loss =
+  const std::vector<std::string> plans{
+      "", "drop=0.08,dup=0.05,delay=0.05",
       "kind=sync-arrive,drop=0.15,dup=0.1;kind=sync-release,drop=0.15,"
-      "dup=0.1;drop=0.03";
+      "dup=0.1;drop=0.03"};
+  const std::vector<Topology> degenerate{{0, 7}, {0, 8}, {7, 0}, {8, 0}};
   for (const Case& c : cases) {
-    for (const std::string& plan : {std::string(), sync_loss}) {
+    for (const std::string& plan : plans) {
       const TracedRun flat = run_traced(c.app, c.kind, c.gang, {0, 0}, plan);
       ASSERT_NE(flat.checksum, 0.0) << c.app;
-      ASSERT_GT(flat.barriers, 0u) << c.app;
-      if (!plan.empty()) {
+      ASSERT_GT(flat.counters.flush_batches.load(), 0u) << c.app;
+      if (&plan == &plans.back()) {
         ASSERT_GT(flat.net.of(MsgKind::SyncArrive).dropped +
                       flat.net.of(MsgKind::SyncRelease).dropped,
                   0u)
             << c.app;
       }
-      for (const int fanout : {7, 8}) {
-        const TracedRun star =
-            run_traced(c.app, c.kind, c.gang, {fanout, 0}, plan);
-        const std::string ctx = std::string(c.app) + " under " +
-                                protocols::to_string(c.kind) + " fanout " +
-                                std::to_string(fanout) + " plan [" + plan +
-                                "]";
-        EXPECT_EQ(star.checksum, flat.checksum) << ctx;
-        EXPECT_EQ(star.elapsed, flat.elapsed) << ctx;
-        EXPECT_EQ(star.barriers, flat.barriers) << ctx;
-        ASSERT_EQ(star.breakdown.nodes.size(), flat.breakdown.nodes.size())
+      for (const Topology topo : degenerate) {
+        const TracedRun run = run_traced(c.app, c.kind, c.gang, topo, plan);
+        const std::string ctx =
+            std::string(c.app) + " under " + protocols::to_string(c.kind) +
+            " fanout " + std::to_string(topo.barrier_fanout) + " relay " +
+            std::to_string(topo.relay_threshold) + " plan [" + plan + "]";
+        EXPECT_EQ(run.checksum, flat.checksum) << ctx;
+        EXPECT_EQ(run.elapsed, flat.elapsed) << ctx;
+        EXPECT_EQ(run.barriers, flat.barriers) << ctx;
+        ASSERT_EQ(run.breakdown.nodes.size(), flat.breakdown.nodes.size())
             << ctx;
         for (std::size_t i = 0; i < flat.breakdown.nodes.size(); ++i) {
-          const auto& a = star.breakdown.nodes[i];
+          const auto& a = run.breakdown.nodes[i];
           const auto& b = flat.breakdown.nodes[i];
           const std::string at = ctx + " node " + std::to_string(i);
           EXPECT_EQ(a.app, b.app) << at;
@@ -361,10 +328,10 @@ TEST(TopologyConformanceTest, StarFanoutMatchesFlatBarrier) {
           EXPECT_EQ(a.wait, b.wait) << at;
           EXPECT_EQ(a.sigio, b.sigio) << at;
         }
-        testing_support::expect_same_counters(star.counters, flat.counters,
+        testing_support::expect_same_counters(run.counters, flat.counters,
                                               ctx);
-        testing_support::expect_same_net(star.net, flat.net, ctx);
-        EXPECT_EQ(star.trace, flat.trace) << ctx;
+        testing_support::expect_same_net(run.net, flat.net, ctx);
+        EXPECT_EQ(run.trace, flat.trace) << ctx;
       }
     }
   }
