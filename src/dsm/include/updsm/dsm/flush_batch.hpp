@@ -6,7 +6,10 @@
 // during the barrier, the runtime seals it and transmits it as a single
 // MsgKind::FlushBatch, and the receiver iterates the records *in place* --
 // the run table and payload are read straight out of the sealed buffer
-// without an intermediate deserialized copy.
+// without an intermediate deserialized copy. The runtime keeps a delivered
+// batch's bytes alive until the barrier's release phase has ended, so bar-*
+// consumers queue the record views themselves and apply them from the wire
+// bytes inside the barrier.
 //
 // Wire layout (all integers little-endian host order; the simulator never
 // crosses a real byte order boundary):
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "updsm/common/error.hpp"
@@ -41,9 +45,11 @@ inline constexpr std::uint32_t kFlushBatchMagic = 0x55464231;  // 'UFB1'
 inline constexpr std::size_t kFlushBatchHeaderBytes = 16;
 inline constexpr std::size_t kFlushRecordHeaderBytes = 24;
 
-/// One page record viewed in place inside a sealed batch (or built directly
-/// over a live Diff on the non-aggregated path -- the delivery callbacks
-/// cannot tell the difference).
+/// One page record viewed in place inside a sealed batch. Every delivered
+/// record -- aggregated or per-page -- is such a view into runtime-owned
+/// wire bytes, valid until Runtime::recycle_delivered() (after the
+/// barrier's release phase, or when the next staging round begins).
+/// Protocols that keep a diff longer decode_into() their own copy.
 struct FlushRecordView {
   PageId page;
   NodeId creator;
@@ -102,14 +108,11 @@ class FlushBatchWriter {
     buf_.clear();
   }
 
-  /// Surrenders the backing buffer (for recycling), leaving the writer
-  /// reset.
+  /// Surrenders the backing buffer, contents intact (record views into it
+  /// stay valid while the caller holds it), leaving the writer reset.
   [[nodiscard]] std::vector<std::byte> release_buffer() {
     records_ = 0;
-    std::vector<std::byte> out = std::move(buf_);
-    buf_ = {};
-    out.clear();
-    return out;
+    return std::exchange(buf_, {});
   }
 
  private:

@@ -27,13 +27,15 @@ namespace updsm::dsm {
 /// never false-share under concurrent mid-phase use.
 struct alignas(64) PoolArena {
   /// Diff scratch for every node this worker owns (barrier diff creation,
-  /// update-push receive copies, lmw retained stores).
+  /// lmw / async update-push receive copies, lmw retained stores).
   mem::DiffPool diffs{256};
   /// Page-sized buffers: twins and service snapshots.
   mem::BufferPool pages{256};
   /// FlushBatchWriter backing stores, borrowed when a (from, to) batch
-  /// slot goes live at stage time and returned at seal -- retained batch
-  /// capacity is O(active pairs through bounded pools), not O(n^2).
+  /// slot goes live at stage time and returned once the barrier's release
+  /// has consumed the delivered records (Runtime::recycle_delivered) --
+  /// retained batch capacity is O(active pairs through bounded pools), not
+  /// O(n^2).
   mem::BufferPool batch_buffers{64};
 };
 

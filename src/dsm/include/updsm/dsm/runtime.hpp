@@ -156,21 +156,25 @@ class Runtime {
 
   // --- barrier-time message aggregation ------------------------------------
   /// Delivery callback of one staged flush record: runs on delivery only,
-  /// with a view over the record's wire bytes (aggregated path) or over the
-  /// live diff itself (per-page path) -- the callback cannot tell which.
+  /// with a view over the record's wire bytes. The runtime owns those bytes
+  /// and keeps them alive until recycle_delivered(), so a protocol may queue
+  /// the view and apply it later in the same barrier.
   using FlushDeliverFn = std::function<void(const FlushRecordView&)>;
 
   /// Routes one barrier-time flush carrying `diff` for `page` through the
-  /// aggregation layer. With config.aggregate_flushes the record is
-  /// serialized into the (from, to) batch (so `diff` may be recycled as
-  /// soon as this returns) and `on_deliver` is deferred until
+  /// aggregation layer. The record is serialized before this returns, so
+  /// `diff` may be recycled at once. With config.aggregate_flushes it joins
+  /// the (from, to) batch and `on_deliver` is deferred until
   /// seal_flush_batches() transmits the batch; otherwise a legacy per-page
-  /// flush() is sent immediately and `on_deliver` fires inline if it was
-  /// delivered. A batch containing any reliable record (a diff-to-home
-  /// flush) rides the reliable channel as a whole; piggybacked update
-  /// records are then delivered too, which only *reduces* later recovery
-  /// work and never changes results. Barrier context only (the staging
-  /// loops are node-ordered, so batch contents are deterministic).
+  /// flush() is sent immediately and, if it was delivered, the record is
+  /// encoded into a retained one-record batch and `on_deliver` fires
+  /// inline. The first staging after a seal begins a new round and
+  /// recycles the previous round's delivered bytes. A batch containing any
+  /// reliable record (a diff-to-home flush) rides the reliable channel as a
+  /// whole; piggybacked update records are then delivered too, which only
+  /// *reduces* later recovery work and never changes results. Barrier
+  /// context only (the staging loops are node-ordered, so batch contents
+  /// are deterministic).
   void stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                    const mem::Diff& diff, bool reliable,
                    FlushDeliverFn on_deliver);
@@ -193,6 +197,12 @@ class Runtime {
   /// order after every batch has travelled, whatever its route -- only
   /// times and the message census change.
   void seal_flush_batches();
+
+  /// Returns every delivered batch buffer to its sender's arena, ending the
+  /// lifetime of all record views handed to delivery callbacks. Cluster
+  /// calls it after barrier_finish and at the end of the run; stage_flush
+  /// calls it when a new staging round begins.
+  void recycle_delivered();
 
   /// Records and charges one reliable one-way message (sync arrivals and
   /// releases, and internally the reliable legs of control/flush): sender
@@ -339,6 +349,15 @@ class Runtime {
   /// Staging is barrier/controller context only, so plain vector appends
   /// are race-free.
   std::vector<std::size_t> staged_active_;
+  /// Delivered wire bytes that record views still point into, with the
+  /// sender whose arena lent them.
+  struct DeliveredBatch {
+    NodeId sender;
+    std::vector<std::byte> bytes;
+  };
+  std::vector<DeliveredBatch> delivered_;
+  /// A staging round is open: set by stage_flush, cleared by seal.
+  bool staging_ = false;
   std::vector<std::uint64_t> arrival_payload_;
   std::vector<std::uint64_t> release_payload_;
   bool measuring_ = false;

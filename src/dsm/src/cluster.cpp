@@ -98,6 +98,7 @@ void Cluster::run(const AppFn& app) {
         app(ctx);
       },
       [&](std::uint64_t index) { do_barrier(index); });
+  rt_.recycle_delivered();
   // Post-final-barrier node events (checksum reads etc.) are still sitting
   // in the per-node trace buffers; append them in node order.
   if (auto* trace = rt_.trace()) trace->flush_node_buffers();
@@ -433,6 +434,9 @@ void Cluster::do_barrier(std::uint64_t index) {
 
   // Refresh barrier-frozen shadow state for the next phase's readers.
   protocol_->barrier_finish();
+  // Release consumed every delivered record view: the wire bytes go back
+  // to their arenas before the next phase stages anything.
+  rt_.recycle_delivered();
 
   if (auto* trace = rt_.trace()) {
     trace->emit("barrier " + std::to_string(index));

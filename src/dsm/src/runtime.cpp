@@ -290,19 +290,26 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                           const mem::Diff& diff, bool reliable,
                           FlushDeliverFn on_deliver) {
   UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
+  if (!staging_) {
+    recycle_delivered();
+    staging_ = true;
+  }
   if (staged_.empty()) {
-    // Aggregation off: the legacy per-page path, with the delivery effects
-    // expressed through the same callback interface (the view aliases the
-    // live diff; no serialization happens).
+    // Aggregation off: the legacy per-page message, delivered through the
+    // same callback interface -- a view into a one-record batch the runtime
+    // retains like a sealed one, so the caller may recycle `diff` at once.
     const bool delivered = flush(from, to, diff.wire_bytes(), reliable);
     if (delivered && on_deliver) {
+      FlushBatchWriter writer;
+      writer.adopt_buffer(arena_for_node(from).batch_buffers.take());
+      writer.begin(from);
+      writer.add(page, creator, epoch_, diff);
+      writer.seal();
+      FlushBatchReader reader(writer.bytes());
       FlushRecordView rec;
-      rec.page = page;
-      rec.creator = creator;
-      rec.epoch = epoch_;
-      rec.runs = diff.runs();
-      rec.payload = diff.payload();
+      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
       on_deliver(rec);
+      delivered_.push_back({from, writer.release_buffer()});
     }
     return;
   }
@@ -322,6 +329,7 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
 }
 
 void Runtime::seal_flush_batches() {
+  staging_ = false;
   if (staged_active_.empty()) return;
   const std::size_t n = static_cast<std::size_t>(num_nodes());
   // Stage order interleaves destinations; transmission and delivery happen
@@ -399,28 +407,45 @@ void Runtime::seal_flush_batches() {
   // Pass C, (sender, destination) order: run the delivery callbacks of
   // every batch that arrived -- unicast or relayed -- by iterating the
   // sealed bytes in place (every delivery round-trips the wire format),
-  // then reset the slots. A lost batch loses *all* its records; the
-  // protocols heal through the same per-record recovery as lost per-page
-  // flushes (bar version-index invalidation, lmw lazy refetch).
+  // then reset the slots. A batch whose records were handed out is
+  // retained until recycle_delivered(); the rest return to their arenas
+  // now. A lost batch loses *all* its records; the protocols heal through
+  // the same per-record recovery as lost per-page flushes (bar
+  // version-index invalidation, lmw lazy refetch).
   for (const std::size_t idx : staged_active_) {
     StagedBatch& slot = staged_slot(idx);
+    bool handed_out = false;
     if (slot.delivered) {
       FlushBatchReader reader(slot.writer.bytes());
       UPDSM_CHECK(reader.header_ok());
       FlushRecordView rec;
       for (const FlushDeliverFn& fn : slot.deliver) {
         UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-        if (fn) fn(rec);
+        if (fn) {
+          fn(rec);
+          handed_out = true;
+        }
       }
       UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
     }
     const NodeId from{static_cast<std::uint32_t>(idx / n)};
-    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
+    if (handed_out) {
+      delivered_.push_back({from, slot.writer.release_buffer()});
+    } else {
+      arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
+    }
     slot.deliver.clear();
     slot.reliable = false;
     slot.delivered = false;
   }
   staged_active_.clear();
+}
+
+void Runtime::recycle_delivered() {
+  for (DeliveredBatch& batch : delivered_) {
+    arena_for_node(batch.sender).batch_buffers.recycle(std::move(batch.bytes));
+  }
+  delivered_.clear();
 }
 
 void Runtime::disseminate(const std::vector<RelaySegment>& segs) {

@@ -179,12 +179,6 @@ class BarProtocol : public dsm::CoherenceProtocol {
     std::vector<QueuedDiff> queued;  // foreign diffs flushed to the home
   };
 
-  struct InboxEntry {
-    PageId page{0};
-    NodeId creator{0};
-    mem::Diff diff;
-  };
-
   struct ChangeRecord {
     PageId page{0};
     std::uint64_t prev_version = 0;
@@ -203,7 +197,10 @@ class BarProtocol : public dsm::CoherenceProtocol {
     std::vector<bool> dirty;                    // wrote during this epoch
     std::vector<PageId> dirty_pages;            // insertion order
     dsm::TwinStore twins;
-    std::vector<InboxEntry> inbox;  // update pushes received this epoch
+    /// Update pushes received this epoch, as views into the delivered wire
+    /// bytes (valid until the runtime recycles them after this barrier's
+    /// release; barrier_release consumes and clears the inbox).
+    std::vector<dsm::FlushRecordView> inbox;
     /// Service snapshots of pages this node (as home) keeps ReadWrite with
     /// no twin -- untracked home-private pages and home-effect writes. A
     /// mid-phase fetch is served from the snapshot (or a live twin), never
@@ -261,6 +258,13 @@ class BarProtocol : public dsm::CoherenceProtocol {
   /// Pages touched this epoch (set at first write note; master consumes).
   std::vector<PageId> epoch_touched_;
   std::vector<ChangeRecord> epoch_changes_;
+  /// Per node, the indices (page order) of the epoch_changes_ records whose
+  /// page has the node in its copyset: the only pages its release must
+  /// visit once every node has entered the loop. Built by barrier_master.
+  std::vector<std::vector<std::uint32_t>> release_visits_;
+  /// Some node has not entered the loop yet: cold replicas are readable
+  /// outside any copyset, so every release visits every change record.
+  bool release_visits_all_ = true;
   /// Guards the one-shot loop-entry reset (see LmwProtocol::loop_mu_).
   std::mutex loop_mu_;
   bool loop_entered_ = false;

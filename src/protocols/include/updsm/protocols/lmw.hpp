@@ -133,6 +133,9 @@ class LmwProtocol final : public dsm::CoherenceProtocol {
   /// Notices generated at the current barrier, aggregated by the master and
   /// redistributed on release.
   dsm::NoticeList epoch_notices_;
+  /// (page, creator) of every epoch notice, sorted once per barrier by
+  /// barrier_master: the release-time foreign-writer lookup.
+  std::vector<std::pair<PageId, NodeId>> epoch_writers_;
   bool gc_requested_ = false;
   /// Guards the one-shot loop-entry copyset reset: iteration_begin runs on
   /// node threads mid-phase under the parallel gang, and applications call

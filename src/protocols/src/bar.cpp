@@ -21,6 +21,7 @@ using sim::SimTime;
 void BarProtocol::init(dsm::Runtime& rt) {
   rt_ = &rt;
   nodes_.resize(static_cast<std::size_t>(rt.num_nodes()));
+  release_visits_.resize(static_cast<std::size_t>(rt.num_nodes()));
   global_.resize(rt.num_pages());
   // Initial homes: block distribution -- contiguous page ranges per node,
   // matching how "owner computes" compilers lay out array slices. (Runtime
@@ -356,24 +357,18 @@ void BarProtocol::barrier_arrive(NodeId n) {
     if (page_pushes_updates(page)) {
       // Push to consumers. The home receives the diff via the reliable
       // flush above (when we are not the home); everyone else in the
-      // copyset gets an unreliable update push. The inbox entry is built
-      // on delivery only (a dropped batch loses all its records).
+      // copyset gets an unreliable update push. The inbox entry is queued
+      // on delivery only (a dropped batch loses all its records), as a view
+      // that release applies straight from the delivered wire bytes.
       gp.copyset.for_each([&](NodeId member) {
         if (member == n) return;
         if (member == gp.home && n != gp.home) return;  // already flushed
         ++rt_->counters().updates_sent;
-        rt_->stage_flush(
-            n, member, page, n, diff, /*reliable=*/false,
-            [this, member](const dsm::FlushRecordView& rec) {
-              ++rt_->counters().updates_received;
-              // Copy through a recycled diff so the inbox copy reuses
-              // capacity -- the receiving member's arena, since the entry
-              // lands in (and is later recycled from) member's inbox.
-              Diff copy = rt_->arena_for_node(member).diffs.take();
-              rec.decode_into(copy);
-              node(member).inbox.push_back(
-                  InboxEntry{rec.page, rec.creator, std::move(copy)});
-            });
+        rt_->stage_flush(n, member, page, n, diff, /*reliable=*/false,
+                         [this, member](const dsm::FlushRecordView& rec) {
+                           ++rt_->counters().updates_received;
+                           node(member).inbox.push_back(rec);
+                         });
       });
     }
 
@@ -495,6 +490,24 @@ void BarProtocol::barrier_master() {
         nodes_.begin(), nodes_.end(),
         [&](const NodeState& st) { return st.iteration >= target; });
     if (learned) engage_overdrive();
+  }
+
+  // Release visit lists. After loop entry a non-home node holds a page
+  // readable only as a copyset member, and update pushes go only to
+  // members, so a node's release need visit no other change record. Built
+  // after migration, which drops the old home from the copyset. Before
+  // every node has entered the loop, cold replicas are readable outside any
+  // copyset and every release visits every record.
+  release_visits_all_ = !std::all_of(
+      nodes_.begin(), nodes_.end(),
+      [](const NodeState& st) { return st.iteration >= 1; });
+  if (!release_visits_all_) {
+    for (std::vector<std::uint32_t>& visits : release_visits_) visits.clear();
+    for (std::uint32_t i = 0; i < epoch_changes_.size(); ++i) {
+      gpage(epoch_changes_[i].page).copyset.for_each([&](NodeId member) {
+        release_visits_[member.index()].push_back(i);
+      });
+    }
   }
 
   // Release payload: one change record per modified page, plus migration
@@ -679,15 +692,30 @@ void BarProtocol::barrier_release(NodeId n) {
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
   std::vector<PageId> updated_pages;
 
-  for (const ChangeRecord& rec : epoch_changes_) {
+  // Merge walk: the inbox sorted by page -- stably, so each page's pushes
+  // keep their delivery (creator) order -- against the change records this
+  // node visits, which are in page order.
+  std::stable_sort(st.inbox.begin(), st.inbox.end(),
+                   [](const dsm::FlushRecordView& a,
+                      const dsm::FlushRecordView& b) { return a.page < b.page; });
+  std::size_t next = 0;     // first inbox entry past the visited records
+  std::size_t reached = 0;  // inbox entries of visited records
+  const std::vector<std::uint32_t>& visits = release_visits_[n.index()];
+  const std::size_t visit_count =
+      release_visits_all_ ? epoch_changes_.size() : visits.size();
+  for (std::size_t k = 0; k < visit_count; ++k) {
+    const ChangeRecord& rec =
+        epoch_changes_[release_visits_all_ ? k : visits[k]];
     const PageId page = rec.page;
     PageGlobal& gp = gpage(page);
-    // Collect this node's update pushes for the page (creator order is node
-    // order because arrivals ran in node order).
-    dsm::NodeSet got;
-    for (const InboxEntry& e : st.inbox) {
-      if (e.page == page) got.add(e.creator);
-    }
+    while (next < st.inbox.size() && st.inbox[next].page < page) ++next;
+    const std::size_t first = next;
+    while (next < st.inbox.size() && st.inbox[next].page == page) ++next;
+    reached += next - first;
+    // This node's update pushes for the page: one per foreign writer whose
+    // push arrived, so they are all there iff there are as many as writers.
+    const std::span<const dsm::FlushRecordView> pushes(st.inbox.data() + first,
+                                                       next - first);
 
     if (n == gp.home) {
       // Home copy was made authoritative in barrier_master.
@@ -695,26 +723,26 @@ void BarProtocol::barrier_release(NodeId n) {
     }
     const bool cached = rt_->table(n).prot(page) != Protect::None;
     if (!cached) {
-      if (!got.empty()) ++rt_->counters().updates_ignored;
+      if (!pushes.empty()) ++rt_->counters().updates_ignored;
       continue;
     }
     const bool current = st.cached_version[page.index()] == rec.prev_version;
-    dsm::NodeSet need = rec.writers;
-    need.remove(n);
-    if (current && got.contains_all(need)) {
+    const std::size_t need = static_cast<std::size_t>(
+        rec.writers.count() - (rec.writers.contains(n) ? 1 : 0));
+    const bool complete = pushes.size() == need;
+    if (current && complete) {
       // All concurrent modifications are available locally: apply inside
       // the barrier and stay valid -- the fault never happens (bar-u) --
       // or, with no foreign writers, nothing to do at all.
-      if (!need.empty()) {
+      if (need != 0) {
         const bool writable =
             rt_->table(n).prot(page) == Protect::ReadWrite;
         if (!writable) rt_->mprotect(n, page, Protect::ReadWrite);
         auto frame = rt_->table(n).frame(page);
-        for (const InboxEntry& e : st.inbox) {
-          if (e.page != page || !need.contains(e.creator)) continue;
-          e.diff.apply(frame);
+        for (const dsm::FlushRecordView& push : pushes) {
+          push.apply(frame);
           rt_->charge_dsm(n, 0, dsm_costs.diff_apply_per_byte_ns,
-                          e.diff.payload_bytes());
+                          push.payload.size());
           ++rt_->counters().updates_applied;
         }
         if (!writable) rt_->mprotect(n, page, Protect::Read);
@@ -736,8 +764,8 @@ void BarProtocol::barrier_release(NodeId n) {
                               << st.cached_version[page.index()] << " prev "
                               << rec.prev_version << " writers "
                               << rec.writers.count() << " got "
-                              << got.count());
-      if (page_pushes_updates(page) && current && !got.contains_all(need)) {
+                              << pushes.size());
+      if (page_pushes_updates(page) && current) {
         // Update delivery, current copy, missing diffs: this invalidation
         // would not have happened had every update push arrived -- pure
         // recovery from a lost flush (the degradation the fault benches
@@ -745,20 +773,20 @@ void BarProtocol::barrier_release(NodeId n) {
         // invalidate mode) never count here.
         ++rt_->counters().recovery_faults;
       }
-      if (!got.empty()) ++rt_->counters().updates_ignored;
+      if (!pushes.empty()) ++rt_->counters().updates_ignored;
       rt_->mprotect(n, page, Protect::None);
       if (st.twins.has(page) && !od_m_active) {
         st.twins.discard(page);
       }
     }
   }
-
-  // Drop all inbox entries for this epoch (applied or ignored), recycling
-  // their diff buffers into this node's arena (the one they were copied
-  // from at delivery).
-  for (InboxEntry& e : st.inbox) {
-    rt_->arena_for_node(n).diffs.recycle(std::move(e.diff));
-  }
+  // Every push went to a copyset member for a changed page, so the walk
+  // must have reached all of them: a miss means a delivery to a page
+  // outside this node's visit list.
+  UPDSM_CHECK_MSG(reached == st.inbox.size(),
+                  "node " << n << " release reached " << reached << " of "
+                          << st.inbox.size() << " update pushes");
+  // The views die with this barrier's delivered wire bytes.
   st.inbox.clear();
 
   // Learning: pages that receive updates feed bar-m's writable union.

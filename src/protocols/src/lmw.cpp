@@ -317,6 +317,12 @@ void LmwProtocol::barrier_master() {
   const std::uint64_t threshold = rt_->config().lmw_gc_threshold_bytes;
   gc_requested_ = threshold != 0 && retained > threshold;
 
+  epoch_writers_.clear();
+  for (const WriteNotice& wn : epoch_notices_) {
+    epoch_writers_.emplace_back(wn.page, wn.creator);
+  }
+  std::sort(epoch_writers_.begin(), epoch_writers_.end());
+
   // The master redistributes every notice to every other node; each notice
   // costs payload on each release message (a node needs no notice for its
   // own diffs).
@@ -345,7 +351,10 @@ void LmwProtocol::barrier_release(NodeId n) {
       rt_->mprotect(n, wn.page, Protect::None);
     }
   }
-  // Keep deterministic diff-application order regardless of notice order.
+  // Keep deterministic diff-application order regardless of notice order:
+  // each touched page's pending list is sorted once.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (const PageId page : touched) {
     auto& pending = st.pages[page.index()].pending;
     std::sort(pending.begin(), pending.end(), dsm::WriteNoticeOrder{});
@@ -358,14 +367,13 @@ void LmwProtocol::barrier_release(NodeId n) {
   for (const PageId page : st.epoch_diffed) {
     PageLocal& pl = st.pages[page.index()];
     if (pl.exclusive || !pl.copyset.empty()) continue;
-    bool foreign_writer = false;
-    for (const WriteNotice& wn : epoch_notices_) {
-      if (wn.page == page && wn.creator != n) {
-        foreign_writer = true;
-        break;
-      }
-    }
-    if (foreign_writer) continue;
+    // The page's notices sort by creator: a creator other than n is first
+    // or last among them.
+    const auto [lo, hi] = std::equal_range(
+        epoch_writers_.begin(), epoch_writers_.end(),
+        std::pair{page, NodeId{0}},
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (lo != hi && (lo->second != n || std::prev(hi)->second != n)) continue;
     UPDSM_CHECK(rt_->table(n).prot(page) == Protect::Read);
     pl.exclusive = true;
     rt_->mprotect(n, page, Protect::ReadWrite);

@@ -95,7 +95,11 @@ TEST_P(FftLengthTest, ParsevalHolds) {
 INSTANTIATE_TEST_SUITE_P(Lengths, FftLengthTest,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "n" + std::to_string(i.param);
+                           // Appending, not "n" + std::string: GCC 12
+                           // raises a false -Wrestrict on the latter.
+                           std::string name = "n";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 TEST(FftTest, LinearityOfTransform) {

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "forwarding_protocol.hpp"
 #include "updsm/dsm/cluster.hpp"
 #include "updsm/dsm/diff_store.hpp"
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/dsm/pool_arena.hpp"
+#include "updsm/dsm/runtime.hpp"
 #include "updsm/dsm/twin_store.hpp"
 #include "updsm/mem/buffer_pool.hpp"
 #include "updsm/mem/diff.hpp"
@@ -199,6 +202,31 @@ ArenaTotals sum_arenas(dsm::Runtime& rt) {
   return t;
 }
 
+/// Checks at every barrier_begin -- before the barrier stages anything --
+/// that the previous barrier returned every batch buffer to its arena.
+class BatchLoanProbe final : public testing_support::ForwardingProtocol {
+ public:
+  using ForwardingProtocol::ForwardingProtocol;
+
+  void init(dsm::Runtime& rt) override {
+    rt_ = &rt;
+    ForwardingProtocol::init(rt);
+  }
+
+  void barrier_begin() override {
+    EXPECT_EQ(sum_arenas(*rt_).batch_out, 0u)
+        << "batch buffers on loan entering barrier " << barriers_;
+    ++barriers_;
+    ForwardingProtocol::barrier_begin();
+  }
+
+  [[nodiscard]] int barriers() const { return barriers_; }
+
+ private:
+  dsm::Runtime* rt_ = nullptr;
+  int barriers_ = 0;
+};
+
 TEST(PoolArenaTest, ClusterRunLoansReconcileExactly) {
   constexpr std::size_t kElems = 2048;
   double reference = 0;
@@ -209,23 +237,26 @@ TEST(PoolArenaTest, ClusterRunLoansReconcileExactly) {
     cfg.workers = workers;
     mem::SharedHeap heap(cfg.page_size);
     const GlobalAddr a = heap.alloc_page_aligned(kElems * 8, "a");
-    Cluster cluster(cfg, heap, protocols::make_protocol(ProtocolKind::BarU));
+    auto probe = std::make_unique<BatchLoanProbe>(
+        protocols::make_protocol(ProtocolKind::BarU));
+    const BatchLoanProbe& loans = *probe;
+    Cluster cluster(cfg, heap, std::move(probe));
     cluster.run([&](NodeContext& ctx) { neighbor_workload(ctx, a, kElems); });
 
     dsm::Runtime& rt = cluster.runtime();
     EXPECT_EQ(rt.workers(), workers);
+    EXPECT_GT(loans.barriers(), 1);
     const ArenaTotals t = sum_arenas(rt);
     const auto& c = rt.counters();
 
     // Every diff loan is closed at a barrier (zero diffs and home copies
-    // immediately, queued diffs by the master hook, inbox copies at
-    // release) -- nothing may still be on loan after the run.
+    // immediately, queued diffs by the master hook) -- nothing may still be
+    // on loan after the run.
     EXPECT_EQ(t.diff_out, 0u) << "workers=" << workers;
-    // The only two diff-take sites are diff creation and update receipt,
-    // each counted by exactly one protocol counter: the ledger reconciles
-    // take for take.
-    EXPECT_EQ(t.diff_takes, c.diffs_created + c.updates_received)
-        << "workers=" << workers;
+    // Diff creation is the only diff-take site: update receipt queues a
+    // view into the delivered batch, no copy. The ledger reconciles take
+    // for take.
+    EXPECT_EQ(t.diff_takes, c.diffs_created) << "workers=" << workers;
     EXPECT_GT(c.diffs_created, 0u);
     EXPECT_GT(c.updates_received.load(), 0u);
     // Perfect network: every staged update was delivered, and every
@@ -243,7 +274,9 @@ TEST(PoolArenaTest, ClusterRunLoansReconcileExactly) {
         << "workers=" << workers;
     EXPECT_GT(t.page_takes, 0u);
 
-    // Batch buffers all return to their arenas at seal.
+    // Batch buffers return to their arenas once the barrier's release has
+    // consumed the delivered records (checked at every barrier above), and
+    // the last ones when the run ends.
     EXPECT_EQ(t.batch_out, 0u) << "workers=" << workers;
     EXPECT_GT(t.batch_takes, 0u);
 
