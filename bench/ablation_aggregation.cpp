@@ -10,7 +10,6 @@
 // (workload, config), never on --jobs or wall clock; the
 // bench_aggregation_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,101 +33,49 @@ struct Cell {
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
 
-  auto opt = bench::BenchOptions::parse(argc, argv);
   // 144 runs; keep the sweep snappy. 0.5 (not the usual 0.4) because fft's
   // power-of-two sizing needs >= half scale before a transpose row spans
   // several pages -- the regime where batching has records to coalesce.
-  if (opt.scale == 1.0) opt.scale = 0.5;
+  const auto opt = bench::BenchOptions::parse(argc, argv, 0.5);
 
-  // Plan every run up front and execute on the --jobs worker pool; results
-  // land in task order, so output is identical at any worker count. Each
-  // cell contributes two runs: aggregated then per-page.
+  // Each cell contributes two runs: aggregated then per-page.
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
-  std::vector<std::string> seq_apps;
+  std::vector<bench::GridCell> grid;
   for (const char* app : kApps) {
-    const bench::BenchOptions o = opt;
-    tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app_params());
-    });
-    seq_apps.push_back(app);
-    for (const ProtocolKind kind : protocols::all_paper_protocols()) {
-      if (!bench::overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
+    for (const ProtocolKind kind : bench::paper_protocols_for(app)) {
       for (const int us : kPerMessageUs) {
         cells.push_back(Cell{app, kind, us});
         for (const bool aggregate : {true, false}) {
-          tasks.push_back([o, app = std::string(app), kind, us, aggregate] {
-            dsm::ClusterConfig cfg = o.cluster_config();
-            cfg.costs.net.per_message = sim::usec(us);
-            cfg.aggregate_flushes = aggregate;
-            return harness::run_app(app, kind, cfg, o.app_params());
-          });
+          dsm::ClusterConfig cfg = opt.cluster_config();
+          cfg.costs.net.per_message = sim::usec(us);
+          cfg.aggregate_flushes = aggregate;
+          grid.push_back({app, kind,
+                          std::to_string(us) + "us/" +
+                              (aggregate ? "aggregated" : "per-page"),
+                          cfg});
         }
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
-
-  // Task order: [seq(app0), cells(app0) x {agg, per-page}..., seq(app1), ...].
-  std::size_t next = 0;
-  std::vector<harness::RunResult> seq_results;
-  std::vector<harness::RunResult> agg_results;
-  std::vector<harness::RunResult> page_results;
-  std::size_t cell_idx = 0;
-  for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-    seq_results.push_back(results[next++]);
-    while (cell_idx < cells.size() && cells[cell_idx].app == seq_apps[a]) {
-      agg_results.push_back(results[next++]);
-      page_results.push_back(results[next++]);
-      ++cell_idx;
-    }
-  }
-
-  auto seq_of = [&](const std::string& app) -> const harness::RunResult& {
-    for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-      if (seq_apps[a] == app) return seq_results[a];
-    }
-    std::fprintf(stderr, "FATAL: no sequential baseline for %s\n",
-                 app.c_str());
-    std::exit(1);
-  };
+  bench::RunCache cache(opt);
+  const auto runs = cache.warm(grid);
 
   std::printf("Ablation X7: flush aggregation vs per-message cost "
               "(scale %.2f, %d nodes)\n\n",
               opt.scale, opt.nodes);
 
-  std::FILE* json = std::fopen("BENCH_aggregation.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_aggregation.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"flush_aggregation\",\n"
-               "  \"scale\": %.3f,\n  \"nodes\": %d,\n",
-               opt.scale, opt.nodes);
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json,
-               "  \"per_message_us\": [15, 45, 100, 200],\n"
-               "  \"runs\": [");
+  bench::JsonWriter json("BENCH_aggregation.json", "flush_aggregation");
+  json.field("scale", "%.3f", opt.scale);
+  json.field("nodes", "%d", opt.nodes);
+  json.host_env(opt);
+  json.field("per_message_us", "[15, 45, 100, 200]");
+  json.begin_array("runs");
 
-  bool first_json = true;
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const harness::RunResult& agg = agg_results[i];
-    const harness::RunResult& page = page_results[i];
-    const harness::RunResult& seq = seq_of(cell.app);
-    if (agg.checksum != seq.checksum || page.checksum != seq.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s under %s diverged at per_message=%dus\n",
-                   cell.app.c_str(), protocols::to_string(cell.kind),
-                   cell.per_message_us);
-      return 1;
-    }
+    const harness::RunResult& agg = *runs[2 * i];
+    const harness::RunResult& page = *runs[2 * i + 1];
 
     const std::string header =
         cell.app + " under " + protocols::to_string(cell.kind);
@@ -163,16 +110,15 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
 
-    std::fprintf(
-        json,
-        "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", "
+    json.row(
+        "{\"app\": \"%s\", \"protocol\": \"%s\", "
         "\"per_message_us\": %d, \"elapsed_ms\": %.3f, "
         "\"elapsed_no_agg_ms\": %.3f, \"speedup_vs_no_agg\": %.4f, "
         "\"flush_messages\": %llu, \"flush_messages_no_agg\": %llu, "
         "\"message_reduction\": %.4f, \"total_messages\": %llu, "
         "\"total_messages_no_agg\": %llu, \"records_per_batch\": %.3f, "
         "\"header_bytes_saved\": %llu, \"correct\": true}",
-        first_json ? "" : ",", cell.app.c_str(),
+        cell.app.c_str(),
         protocols::to_string(cell.kind), cell.per_message_us,
         sim::to_msec(agg.elapsed), sim::to_msec(page.elapsed), speedup,
         static_cast<unsigned long long>(agg_msgs),
@@ -182,10 +128,9 @@ int main(int argc, char** argv) {
         recs_per_batch,
         static_cast<unsigned long long>(
             agg.counters.flush_batch_header_bytes_saved.load()));
-    first_json = false;
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_array();
+  json.close();
   std::printf("wrote BENCH_aggregation.json (%zu cells x {agg, per-page}, "
               "all bit-exact vs sequential)\n",
               cells.size());

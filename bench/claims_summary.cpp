@@ -11,18 +11,9 @@ int main(int argc, char** argv) {
   using protocols::ProtocolKind;
   const auto opt = bench::BenchOptions::parse(argc, argv);
   bench::RunCache cache(opt);
+  // warm() verifies every run: a claim check over wrong answers is
+  // worthless.
   cache.warm(bench::full_grid());
-
-  // Verify every run first: a claim check over wrong answers is worthless.
-  for (const auto app : apps::app_names()) {
-    for (const auto kind : protocols::all_paper_protocols()) {
-      if (!bench::overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
-      cache.verify(app, kind);
-    }
-  }
 
   struct Claim {
     std::string description;

@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> groups;
   std::vector<std::vector<double>> values(4);
   for (const auto app : apps::app_names()) {
-    cache.verify(app, ProtocolKind::BarU);
     const auto& run = cache.parallel(app, ProtocolKind::BarU);
     const auto sum = run.breakdown.summed();
     const double total = static_cast<double>(sum.total());

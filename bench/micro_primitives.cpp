@@ -355,25 +355,16 @@ BENCHMARK(BM_CopysetIterate)->Arg(2)->Arg(64)->Arg(1024);
 void write_diff_summary(const char* path) {
   constexpr std::size_t kPage = 8192;
   const auto twin = make_page(kPage, 1);
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
   // Uniform host-provenance keys ("host" object / gang / net_profile /
   // cost_overrides) that every BENCH_*.json carries; diff creation is
   // single-threaded host work, so workers is 1, no gang is involved, and
   // the simulated cost profile cannot matter -- sp2 is the recorded
   // default.
-  std::fprintf(f,
-               "{\n  \"bench\": \"diff_create\",\n  \"page_bytes\": %zu,\n",
-               kPage);
-  updsm::bench::write_host_json(f, 1);
-  std::fprintf(f,
-               "  \"gang\": \"none\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n");
+  updsm::bench::JsonWriter json(path, "diff_create");
+  json.field("page_bytes", "%zu", kPage);
+  json.host_env(1, "none", "sp2", {});
+  json.begin_array("results");
   const char* patterns[] = {"identical", "sparse", "alternating", "dense"};
-  bool first = true;
   for (const char* pattern : patterns) {
     const auto cur = make_current(twin, pattern);
     using clock = std::chrono::steady_clock;
@@ -393,18 +384,16 @@ void write_diff_summary(const char* path) {
         const double gib_per_s =
             static_cast<double>(iters) * static_cast<double>(kPage) /
             (sec * 1024.0 * 1024.0 * 1024.0);
-        std::fprintf(f,
-                     "%s    {\"pattern\": \"%s\", \"ns_per_page\": %.1f, "
-                     "\"gib_per_s\": %.3f}",
-                     first ? "" : ",\n", pattern, ns_per_page, gib_per_s);
-        first = false;
+        json.row("{\"pattern\": \"%s\", \"ns_per_page\": %.1f, "
+                 "\"gib_per_s\": %.3f}",
+                 pattern, ns_per_page, gib_per_s);
         break;
       }
       iters *= 4;
     }
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  json.end_array();
+  json.close();
   std::printf("wrote %s\n", path);
 }
 
@@ -418,21 +407,13 @@ void write_gang_summary(const char* path) {
   using clock = std::chrono::steady_clock;
   using updsm::sim::GangMode;
 
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
   // Uniform host-provenance keys: this bench sweeps both gang modes, so
   // "gang" records that, and workers is the auto resolution at the largest
   // swept cluster (per-cell counts clamp to each cell's node count).
-  std::fprintf(f,
-               "{\n  \"bench\": \"gang_modes\",\n  \"workload\": "
-               "\"sor+barnes under bar-u, scale 0.4, 4 iters\",\n");
-  updsm::bench::write_host_json(f, updsm::sim::Gang::resolve_workers(0, 8));
-  std::fprintf(f,
-               "  \"gang\": \"sweep\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n");
+  updsm::bench::JsonWriter json(path, "gang_modes");
+  json.field("workload", "\"sor+barnes under bar-u, scale 0.4, 4 iters\"");
+  json.host_env(updsm::sim::Gang::resolve_workers(0, 8), "sweep", "sp2", {});
+  json.begin_array("results");
 
   auto wall_ms = [](int nodes, GangMode mode) {
     updsm::apps::AppParams params;
@@ -452,7 +433,6 @@ void write_gang_summary(const char* path) {
         .count();
   };
 
-  bool first = true;
   for (const int nodes : {2, 4, 8}) {
     // Warm once (first-touch page cache, pool spawn), then take the best
     // of three to damp scheduler noise.
@@ -463,15 +443,12 @@ void write_gang_summary(const char* path) {
       baton = std::min(baton, wall_ms(nodes, GangMode::Baton));
       parallel = std::min(parallel, wall_ms(nodes, GangMode::Parallel));
     }
-    std::fprintf(f,
-                 "%s    {\"nodes\": %d, \"baton_ms\": %.1f, "
-                 "\"parallel_ms\": %.1f, \"speedup\": %.2f}",
-                 first ? "" : ",\n", nodes, baton, parallel,
-                 baton / parallel);
-    first = false;
+    json.row("{\"nodes\": %d, \"baton_ms\": %.1f, "
+             "\"parallel_ms\": %.1f, \"speedup\": %.2f}",
+             nodes, baton, parallel, baton / parallel);
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  json.end_array();
+  json.close();
   std::printf("wrote %s\n", path);
 }
 

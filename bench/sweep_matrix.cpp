@@ -10,7 +10,6 @@
 
 int main(int argc, char** argv) {
   using namespace updsm;
-  using protocols::ProtocolKind;
   const auto opt = bench::BenchOptions::parse(argc, argv);
   bench::RunCache cache(opt);
   cache.warm(bench::full_grid());
@@ -21,12 +20,7 @@ int main(int argc, char** argv) {
       "migrations,private_in,private_out,app_pct,dsm_pct,os_pct,wait_pct,"
       "sigio_pct\n");
   for (const auto app : apps::app_names()) {
-    for (const auto kind : protocols::all_paper_protocols()) {
-      if (!bench::overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
-      cache.verify(app, kind);
+    for (const auto kind : bench::paper_protocols_for(app)) {
       const auto& run = cache.parallel(app, kind);
       const auto& seq = cache.sequential(app);
       const auto sum = run.breakdown.summed();

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
                             "data(kB) li", "lu", "bi", "bu"});
   for (const auto app : apps::app_names()) {
     std::vector<std::string> row{std::string(app)};
-    for (const auto kind : protos) cache.verify(app, kind);
     for (const auto kind : protos) {
       row.push_back(std::to_string(cache.parallel(app, kind)
                                        .counters.diffs_created));

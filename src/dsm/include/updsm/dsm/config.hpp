@@ -97,12 +97,6 @@ struct ClusterConfig {
   std::vector<std::uint32_t> static_homes;
 
   // --- overdrive options (bar-s / bar-m) ---------------------------------
-  /// Complete iterations observed before overdrive engages ("after
-  /// gathering information for some period of time", §4.1). Homes migrate
-  /// during iteration 2 and copysets converge behind them, so the last
-  /// learning iteration -- the one overdrive replays -- must be the first
-  /// fully steady one: iteration 3. Overdrive engages during iteration 4.
-  int overdrive_learn_iterations = 3;
   OverdriveFallback overdrive_fallback = OverdriveFallback::Strict;
   /// Sliding-window length, in touched epochs per page, of the adaptive
   /// protocol's history (writers, diff bytes, consumers). A page's delivery

@@ -33,7 +33,7 @@ foreach(run jobs1 jobs4 jobs1_again)
     message(FATAL_ERROR
       "ablation_aggregation (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_aggregation.json json_${run})
+  bench_read_json(json_${run} ${BENCH_DIR}/BENCH_aggregation.json)
 endforeach()
 bench_expect_identical("${out_jobs1}" "${out_jobs4}"
   "ablation_aggregation: stdout differs between --jobs=1 and --jobs=4")

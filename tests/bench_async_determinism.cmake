@@ -35,7 +35,7 @@ foreach(run jobs1 jobs4 workers2 jobs1_again)
     message(FATAL_ERROR
       "ablation_async (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_async.json json_${run})
+  bench_read_json(json_${run} ${BENCH_DIR}/BENCH_async.json)
 endforeach()
 foreach(run jobs4 workers2 jobs1_again)
   bench_expect_identical("${out_jobs1}" "${out_${run}}"

@@ -1,8 +1,9 @@
 # Acceptance gate for the fault-injection bench: the injected fault
 # schedule is a pure function of (--fault-seed, workload), so
-# ablation_faults must print byte-identical output whatever the worker
-# count, and repeated runs with the same seed must agree exactly (while a
-# different seed must not, proving the plans actually bite). Run via ctest:
+# ablation_faults must print byte-identical output, and write a
+# byte-identical BENCH_faults.json, whatever the worker count; repeated
+# runs with the same seed must agree exactly (while a different seed must
+# not, proving the plans actually bite). Run via ctest:
 #   cmake -DBENCH_DIR=<build>/bench -P bench_faults_determinism.cmake
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
@@ -21,6 +22,7 @@ foreach(run jobs1 jobs4 jobs1_again)
   execute_process(
     COMMAND ${BENCH_DIR}/ablation_faults ${flags} --jobs=${jobs}
             --fault-seed=42
+    WORKING_DIRECTORY ${BENCH_DIR}
     OUTPUT_VARIABLE out_${run}
     ERROR_VARIABLE err_${run}
     RESULT_VARIABLE rc_${run})
@@ -28,16 +30,22 @@ foreach(run jobs1 jobs4 jobs1_again)
     message(FATAL_ERROR
       "ablation_faults (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
+  bench_read_json(json_${run} ${BENCH_DIR}/BENCH_faults.json)
 endforeach()
 bench_expect_identical("${out_jobs1}" "${out_jobs4}"
   "ablation_faults: stdout differs between --jobs=1 and --jobs=4")
 bench_expect_identical("${out_jobs1}" "${out_jobs1_again}"
   "ablation_faults: repeated runs with --fault-seed=42 differ")
+bench_expect_identical("${json_jobs1}" "${json_jobs4}"
+  "BENCH_faults.json differs between --jobs=1 and --jobs=4")
+bench_expect_identical("${json_jobs1}" "${json_jobs1_again}"
+  "BENCH_faults.json differs across reruns")
 message(STATUS "ablation_faults: byte-identical across --jobs and reruns")
 
 # A different seed must change the injected schedule somewhere.
 execute_process(
   COMMAND ${BENCH_DIR}/ablation_faults ${flags} --jobs=1 --fault-seed=43
+  WORKING_DIRECTORY ${BENCH_DIR}
   OUTPUT_VARIABLE out_seed43
   ERROR_VARIABLE err_seed43
   RESULT_VARIABLE rc_seed43)

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "updsm/harness/experiment.hpp"
+#include "updsm/harness/options.hpp"
 #include "updsm/harness/report.hpp"
 
 namespace updsm::harness {
@@ -120,6 +121,68 @@ TEST(HotPagesTest, AttributesEventsToAllocations) {
   }
   // Asking for more pages than were ever touched is fine.
   EXPECT_LE(hottest_pages(run, 100000).size(), run.page_stats.size());
+}
+
+/// Runs parse_flags over `args`; a usage() call surfaces as its exit code.
+int parse(std::vector<std::string> args, const std::vector<Flag>& flags) {
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  for (std::string& a : args) argv.push_back(a.data());
+  try {
+    parse_flags(static_cast<int>(argv.size()), argv.data(), flags,
+                [](int code) { throw code; });
+  } catch (int code) {
+    return code;
+  }
+  return -1;
+}
+
+TEST(OptionsTest, LastFlagWinsAndUnknownFlagsAreRejected) {
+  RunOptions opt;
+  opt.scale = 0.5;  // a bench's own default
+  EXPECT_EQ(parse({"--scale=0.9", "--scale=1", "--no-aggregate"},
+                  opt.flags()),
+            -1);
+  EXPECT_EQ(opt.scale, 1.0);
+  EXPECT_FALSE(opt.aggregate);
+  EXPECT_EQ(parse({"--jobs=2"}, opt.flags()), 2);
+  EXPECT_EQ(parse({"--nodes"}, opt.flags()), 2);  // value flag without '='
+  EXPECT_EQ(parse({"--gang=lockstep"}, opt.flags()), 2);
+  EXPECT_EQ(parse({"--workers=0"}, opt.flags()), 2);
+  EXPECT_EQ(parse({"--help"}, opt.flags()), 0);
+}
+
+TEST(OptionsTest, ClusterConfigKeepsBaseFieldsAndAppliesOverridesLast) {
+  RunOptions opt;
+  ASSERT_EQ(parse({"--nodes=16", "--net-profile=rdma",
+                   "--cost=net.per_message_us=5", "--fanout=4"},
+                  opt.flags()),
+            -1);
+  dsm::ClusterConfig base;
+  base.page_size = 4096;
+  base.home_migration = false;
+  const dsm::ClusterConfig cfg = opt.cluster_config(base);
+  EXPECT_EQ(cfg.page_size, 4096u);
+  EXPECT_FALSE(cfg.home_migration);
+  EXPECT_EQ(cfg.num_nodes, 16);
+  EXPECT_EQ(cfg.barrier_fanout, 4);
+  EXPECT_EQ(cfg.net_profile, "rdma");
+  sim::CostModel expected = sim::CostModel::from_profile("rdma");
+  expected.net.per_message = sim::usec(5);
+  EXPECT_EQ(cfg.costs.net.per_message, expected.net.per_message);
+  EXPECT_EQ(cfg.costs.net.per_byte_ns, expected.net.per_byte_ns);
+
+  opt.nodes = 0;
+  EXPECT_THROW((void)opt.cluster_config(), UsageError);
+}
+
+TEST(OptionsTest, IntListSkipsEmptyEntriesAndChecksRange) {
+  EXPECT_EQ(parse_int_list("--n", "8,,64,", 1, 1024),
+            (std::vector<int>{8, 64}));
+  EXPECT_THROW((void)parse_int_list("--n", "8;64", 1, 1024), FlagError);
+  EXPECT_THROW((void)parse_int_list("--n", "0", 1, 1024), FlagError);
+  EXPECT_THROW((void)parse_int_list("--n", "99999999999999", 1, 1024),
+               FlagError);
+  EXPECT_THROW((void)parse_int_list("--n", ",", 1, 1024), FlagError);
 }
 
 }  // namespace

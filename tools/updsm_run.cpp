@@ -12,7 +12,6 @@
 //   updsm_run --app=jacobi --protocol=all --csv
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,41 +19,28 @@
 #include <vector>
 
 #include "updsm/harness/experiment.hpp"
+#include "updsm/harness/options.hpp"
 #include "updsm/harness/report.hpp"
 #include "updsm/mem/shared_heap.hpp"
-#include "updsm/sim/cost_model.hpp"
 
 namespace {
 
 using namespace updsm;
 
-struct Options {
+struct Options : harness::RunOptions {
   std::string app = "sor";
   std::string protocol = "bar-u";
-  int nodes = 8;
-  double scale = 1.0;
-  int warmup = 5;
-  int iters = 10;
   std::uint32_t page_size = 8192;
-  std::string net_profile = "sp2";
-  std::vector<std::string> cost_overrides;
-  int adaptive_window = 4;
   std::string faults;  // fault-spec text or a file containing one
   std::uint64_t fault_seed = 0;
   bool migration = true;
-  bool aggregate = true;
-  int fanout = 0;           // 0 = flat barrier
-  int relay_threshold = 0;  // 0 = relay off
+  int staleness = 4;
+  double tolerance = 1e-6;
   bool breakdown = false;
   bool layout = false;
   int hot_pages = 0;
   bool per_node = false;
   bool csv = false;
-  std::uint64_t seed = 0x1998'0330;
-  sim::GangMode gang = sim::GangMode::Parallel;
-  int workers = 0;  // 0 = auto (hardware concurrency)
-  int staleness = 4;
-  double tolerance = 1e-6;
 };
 
 [[noreturn]] void usage(int code) {
@@ -127,124 +113,49 @@ std::string load_fault_spec(const std::string& arg) {
 }
 
 Options parse(int argc, char** argv) {
+  using harness::int_flag;
+  using harness::seed_flag;
+  using harness::switch_flag;
+  using harness::text_flag;
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const std::size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value("--app=")) {
-      opt.app = v;
-    } else if (const char* v = value("--protocol=")) {
-      opt.protocol = v;
-    } else if (const char* v = value("--nodes=")) {
-      opt.nodes = std::atoi(v);
-    } else if (const char* v = value("--scale=")) {
-      opt.scale = std::atof(v);
-    } else if (const char* v = value("--warmup=")) {
-      opt.warmup = std::atoi(v);
-    } else if (const char* v = value("--iters=")) {
-      opt.iters = std::atoi(v);
-    } else if (const char* v = value("--page-size=")) {
-      opt.page_size = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--net-profile=")) {
-      opt.net_profile = v;
-    } else if (const char* v = value("--cost=")) {
-      opt.cost_overrides.emplace_back(v);
-    } else if (const char* v = value("--adaptive-window=")) {
-      opt.adaptive_window = std::atoi(v);
-    } else if (const char* v = value("--faults=")) {
-      opt.faults = v;
-    } else if (const char* v = value("--fault-seed=")) {
-      opt.fault_seed = std::strtoull(v, nullptr, 0);
-    } else if (const char* v = value("--seed=")) {
-      opt.seed = std::strtoull(v, nullptr, 0);
-    } else if (const char* v = value("--gang=")) {
-      const std::string mode = v;
-      if (mode == "parallel") {
-        opt.gang = sim::GangMode::Parallel;
-      } else if (mode == "baton") {
-        opt.gang = sim::GangMode::Baton;
-      } else if (mode == "async") {
-        opt.gang = sim::GangMode::Async;
-      } else {
-        std::fprintf(stderr, "unknown gang mode: %s\n", v);
-        usage(2);
-      }
-    } else if (const char* v = value("--workers=")) {
-      opt.workers = std::atoi(v);
-      if (opt.workers < 1) {
-        std::fprintf(stderr, "--workers must be >= 1, got %s\n", v);
-        usage(2);
-      }
-    } else if (const char* v = value("--staleness=")) {
-      opt.staleness = std::atoi(v);
-    } else if (const char* v = value("--tolerance=")) {
-      opt.tolerance = std::atof(v);
-    } else if (const char* v = value("--fanout=")) {
-      opt.fanout = std::atoi(v);
-    } else if (const char* v = value("--relay-threshold=")) {
-      opt.relay_threshold = std::atoi(v);
-    } else if (arg == "--no-migration") {
-      opt.migration = false;
-    } else if (arg == "--no-aggregate") {
-      opt.aggregate = false;
-    } else if (const char* v = value("--hot-pages=")) {
-      opt.hot_pages = std::atoi(v);
-    } else if (arg == "--breakdown") {
-      opt.breakdown = true;
-    } else if (arg == "--per-node") {
-      opt.per_node = true;
-    } else if (arg == "--layout") {
-      opt.layout = true;
-    } else if (arg == "--csv") {
-      opt.csv = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
-      usage(2);
-    }
-  }
+  const std::vector<harness::Flag> own = {
+      text_flag("--app", opt.app),
+      text_flag("--protocol", opt.protocol),
+      {"--page-size", true,
+       [&](const char* v) {
+         opt.page_size = static_cast<std::uint32_t>(std::atoi(v));
+       }},
+      text_flag("--faults", opt.faults),
+      seed_flag("--fault-seed", opt.fault_seed),
+      seed_flag("--seed", opt.seed),
+      int_flag("--staleness", opt.staleness),
+      {"--tolerance", true,
+       [&](const char* v) { opt.tolerance = std::atof(v); }},
+      switch_flag("--no-migration", opt.migration, false),
+      int_flag("--hot-pages", opt.hot_pages),
+      switch_flag("--breakdown", opt.breakdown, true),
+      switch_flag("--per-node", opt.per_node, true),
+      switch_flag("--layout", opt.layout, true),
+      switch_flag("--csv", opt.csv, true),
+      {"-h", false, [](const char*) { usage(0); }},
+  };
+  std::vector<harness::Flag> flags = opt.flags();
+  flags.insert(flags.end(), own.begin(), own.end());
+  harness::parse_flags(argc, argv, flags, usage);
   return opt;
 }
 
 dsm::ClusterConfig cluster_config(const Options& opt) {
   dsm::ClusterConfig cfg;
-  cfg.num_nodes = opt.nodes;
   cfg.page_size = opt.page_size;
-  cfg.seed = opt.seed;
-  cfg.gang = opt.gang;
-  cfg.workers = opt.workers;
   cfg.home_migration = opt.migration;
-  cfg.aggregate_flushes = opt.aggregate;
-  cfg.barrier_fanout = opt.fanout;
-  cfg.relay_threshold = opt.relay_threshold;
-  // Profile first, then the per-key overrides on top of it.
-  cfg.net_profile = opt.net_profile;
-  cfg.costs = sim::CostModel::from_profile(opt.net_profile);
-  sim::apply_cost_overrides(cfg.costs, opt.cost_overrides);
-  cfg.adaptive_window = opt.adaptive_window;
   cfg.staleness_bound = opt.staleness;
   cfg.async_tolerance = opt.tolerance;
   if (!opt.faults.empty()) {
     cfg.faults = sim::FaultSpec::parse(load_fault_spec(opt.faults));
     cfg.fault_seed = opt.fault_seed;
   }
-  // Fail at parse time with a usable message (the deep checks would only
-  // trip once a run is underway).
-  dsm::validate_cluster_config(cfg);
-  return cfg;
-}
-
-apps::AppParams app_params(const Options& opt) {
-  apps::AppParams p;
-  p.scale = opt.scale;
-  p.warmup_iterations = opt.warmup;
-  p.measured_iterations = opt.iters;
-  p.seed = opt.seed;
-  return p;
+  return opt.cluster_config(cfg);
 }
 
 void print_run(const Options& opt, const harness::RunResult& run,
@@ -273,7 +184,7 @@ void print_run(const Options& opt, const harness::RunResult& run,
 
   std::printf("%s under %s: %d nodes, scale %.2f, %d measured iterations\n",
               run.app.c_str(), run.protocol.c_str(), run.nodes, opt.scale,
-              opt.iters);
+              opt.iterations);
   std::printf("  result        %s (checksum %.17g)\n",
               run.checksum == seq.checksum ? "bit-exact vs sequential"
                                            : "*** DIVERGED ***",
@@ -377,7 +288,7 @@ int main(int argc, char** argv) {
     }
 
     if (opt.layout) {
-      auto app = apps::make_app(opt.app, app_params(opt));
+      auto app = apps::make_app(opt.app, opt.app_params());
       mem::SharedHeap heap(opt.page_size);
       app->allocate(heap);
       std::printf("shared segment for %s: %llu kB in %u pages\n",
@@ -392,11 +303,12 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
 
-    const auto seq =
-        harness::run_sequential(opt.app, cluster_config(opt), app_params(opt));
+    const dsm::ClusterConfig cfg = cluster_config(opt);
+    const apps::AppParams params = opt.app_params();
+    const auto seq = harness::run_sequential(opt.app, cfg, params);
     bool overdrive_safe = true;
     {
-      auto probe = apps::make_app(opt.app, app_params(opt));
+      auto probe = apps::make_app(opt.app, params);
       overdrive_safe = probe->overdrive_safe();
     }
     for (const auto kind : kinds) {
@@ -407,9 +319,7 @@ int main(int argc, char** argv) {
                      protocols::to_string(kind), opt.app.c_str());
         continue;
       }
-      const auto run =
-          harness::run_app(opt.app, kind, cluster_config(opt), app_params(opt));
-      print_run(opt, run, seq);
+      print_run(opt, harness::run_app(opt.app, kind, cfg, params), seq);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
